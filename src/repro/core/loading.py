@@ -29,6 +29,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Seconds per day, used to bucket timestamps into experiment days.
 DAY_SECONDS = 86400.0
 
+#: The ``events`` columns :func:`build_profiles` reads: every scanned
+#: column except ``interaction``, which no profile field records.
+PROFILE_COLUMNS = (
+    "timestamp", "src_ip", "dbms", "config", "country", "asn",
+    "as_name", "as_type", "institutional", "event_type", "action",
+    "username", "password", "raw",
+)
+
 
 @dataclass
 class IpProfile:

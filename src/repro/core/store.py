@@ -7,26 +7,35 @@ and figure builders independently re-scanned that table and rebuilt
 Python :class:`~repro.core.loading.IpProfile` objects from scratch.
 The :class:`AnalysisStore` replaces that with a three-level pipeline:
 
-1. **One scan.**  The events table is loaded once per store into a
-   compact columnar form (:class:`ColumnarEvents`): interned,
-   dictionary-encoded string columns plus numpy arrays for timestamps
-   and numeric fields.  Filtered slices (``interaction=...`` /
-   ``dbms=...``) are served from the in-memory columns by boolean mask
-   when the full table is already loaded, and otherwise *pushed down*
-   into SQL ``WHERE`` clauses that hit the converter's indexes instead
-   of filtering Python-side.
+1. **Projected scans.**  A caller names the ``events`` columns it
+   reads (:data:`~repro.core.temporal.SERIES_COLUMNS` for the hourly
+   series, :data:`~repro.core.loading.PROFILE_COLUMNS` for profiles)
+   and gets a compact columnar form (:class:`ColumnarEvents`) holding
+   just those: dictionary-encoded string columns plus numpy arrays for
+   timestamps and numeric fields.  Per filter (``interaction=...`` /
+   ``dbms=...``) the store keeps one resident load in memory and
+   fetches each missing column at most once, in one query that pushes
+   the filters down into SQL ``WHERE`` clauses on the converter's
+   indexes.  Rows come back in ``id`` (rowid) order and are put in
+   ``(timestamp, id)`` order by a stable argsort of the timestamps, so
+   SQLite never sorts.  A wider load already in memory serves any
+   narrower request; a resident unfiltered load serves filtered
+   slices by boolean mask.
 
 2. **Derived-artifact caching.**  Expensive derived artifacts --
    profile maps, TF matrices (:mod:`repro.core.tf`), linkage matrices
    (:mod:`repro.core.clustering`) -- are memoized in memory and
    persisted to disk, keyed by a SHA-256 **content digest** of the
-   database file plus the query/clustering parameters.  A modified
-   database yields a different digest, so stale artifacts are never
-   served; they are simply ignored on disk (and unreadable/corrupt
-   cache files are treated as misses, never errors).
+   database file plus the query/clustering parameters.  Columnar
+   loads are keyed by filter *and* projection, so a warm pass reads
+   back only the columns it asks for.  A modified database yields a
+   different digest, so stale artifacts are never served; they are
+   simply ignored on disk (and unreadable/corrupt cache files are
+   treated as misses, never errors).
 
-3. **Observability.**  Cache hits/misses, stale reads, scan time, and
-   per-kind build times are reported through :mod:`repro.obs` under the
+3. **Observability.**  Cache hits/misses, stale reads, scan time, the
+   cells each scan fetched (rows x columns), and per-kind build times
+   are reported through :mod:`repro.obs` under the
    ``analysis.*`` metrics family, and mirrored into the store's local
    :attr:`AnalysisStore.stats` dict for callers without a telemetry
    bundle installed.
@@ -40,10 +49,12 @@ persistence entirely.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import pickle
 import sys
 import time
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,14 +65,14 @@ import numpy as np
 from repro import obs
 from repro.core.classification import Classification, classify_ips
 from repro.core.clustering import AgglomerativeClustering
-from repro.core.loading import (IpProfile, action_sequences,
-                                build_profiles)
+from repro.core.loading import (PROFILE_COLUMNS, IpProfile,
+                                action_sequences, build_profiles)
 from repro.core.tf import TfVectorizer
 from repro.pipeline.convert import open_database
 
 __all__ = [
     "AnalysisStore", "ColumnarEvents", "StringColumn", "TfArtifact",
-    "CACHE_DIR_ENV", "CACHE_TOGGLE_ENV", "borrow_store",
+    "CACHE_DIR_ENV", "CACHE_TOGGLE_ENV", "SCAN_COLUMNS", "borrow_store",
 ]
 
 #: Relocates the on-disk cache (a directory; one subdir per database).
@@ -71,13 +82,27 @@ CACHE_TOGGLE_ENV = "REPRO_ANALYSIS_CACHE"
 
 #: Bump when the columnar layout or artifact formats change; old cache
 #: files then simply stop matching and are ignored.
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 
-_SCAN_COLUMNS = (
+#: Every ``events`` column the store can load, in canonical order.
+SCAN_COLUMNS = (
     "timestamp", "src_ip", "dbms", "interaction", "config", "country",
     "asn", "as_name", "as_type", "institutional", "event_type",
     "action", "username", "password", "raw",
 )
+#: Numeric columns and their array dtype (``asn`` NULL decodes to NaN);
+#: every other column is a dictionary-encoded :class:`StringColumn`.
+_NUMERIC = {"timestamp": np.float64, "asn": np.float64,
+            "institutional": bool}
+
+
+def _projection(columns) -> tuple[str, ...]:
+    """``columns`` as a canonical, duplicate-free tuple."""
+    wanted = set(columns)
+    unknown = wanted.difference(SCAN_COLUMNS)
+    if unknown:
+        raise ValueError(f"unknown events column(s): {sorted(unknown)}")
+    return tuple(name for name in SCAN_COLUMNS if name in wanted)
 
 
 @dataclass(frozen=True)
@@ -119,66 +144,95 @@ class StringColumn:
         return [self.pool[code] for code in present.tolist() if code >= 0]
 
 
-def _encode(values: list) -> StringColumn:
-    index: dict[str, int] = {}
-    pool: list[str] = []
-    codes = np.empty(len(values), dtype=np.int32)
-    for position, value in enumerate(values):
-        if value is None:
-            codes[position] = -1
-            continue
-        code = index.get(value)
-        if code is None:
-            code = index[value] = len(pool)
-            pool.append(sys.intern(value))
-        codes[position] = code
-    return StringColumn(codes, tuple(pool))
+def _encode(values) -> StringColumn:
+    """Dictionary-encode a sequence of strings and ``None``s.
+
+    The code map is a ``defaultdict`` fed by a C-level counter, so the
+    per-cell work never enters the interpreter; ``None`` gets a code
+    like any value and is then remapped to ``-1`` in one vectorised
+    pass.
+    """
+    index = defaultdict(itertools.count().__next__)
+    codes = np.fromiter(map(index.__getitem__, values), dtype=np.int32,
+                        count=len(values))
+    pool = list(index)
+    null = index.get(None)
+    if null is not None:
+        del pool[null]
+        codes = np.where(codes == null, np.int32(-1),
+                         codes - (codes > null).astype(np.int32))
+    return StringColumn(codes, tuple(map(sys.intern, pool)))
 
 
-@dataclass(frozen=True)
+def _decode_column(name: str, values) -> "np.ndarray | StringColumn":
+    dtype = _NUMERIC.get(name)
+    if dtype is None:
+        return _encode(values)
+    return np.array(values, dtype=dtype)
+
+
+def _take(column, indices: np.ndarray):
+    if isinstance(column, StringColumn):
+        return column.take(indices)
+    return column[indices]
+
+
 class ColumnarEvents:
-    """The events table in columnar form, ordered by (timestamp, id)."""
+    """The events table (or a slice) in columnar form.
 
-    timestamps: np.ndarray  #: float64
-    src_ip: StringColumn
-    dbms: StringColumn
-    interaction: StringColumn
-    config: StringColumn
-    country: StringColumn
-    asn: np.ndarray  #: float64, NaN encodes NULL
-    as_name: StringColumn
-    as_type: StringColumn
-    institutional: np.ndarray  #: bool
-    event_type: StringColumn
-    action: StringColumn
-    username: StringColumn
-    password: StringColumn
-    raw: StringColumn
+    Rows are ordered by ``(timestamp, id)``.  Only the columns of the
+    requested projection are present; each is an attribute named after
+    its SQL column (``timestamps`` for ``timestamp``), and reading one
+    outside the projection raises :class:`AttributeError`.
+    """
+
+    __slots__ = ("n", "_columns")
+
+    def __init__(self, n: int, columns: dict):
+        self.n = n
+        self._columns = columns
+
+    def __reduce__(self):
+        return (ColumnarEvents, (self.n, self._columns))
+
+    def __getattr__(self, name: str):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        key = "timestamp" if name == "timestamps" else name
+        try:
+            return self._columns[key]
+        except KeyError:
+            raise AttributeError(
+                f"column {key!r} is not in this projection "
+                f"{tuple(self._columns)}") from None
 
     @property
-    def n(self) -> int:
-        return len(self.timestamps)
+    def columns(self) -> tuple[str, ...]:
+        """The loaded columns, in canonical order."""
+        return _projection(self._columns)
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._columns
+
+    def covers(self, names) -> bool:
+        """Whether every column in ``names`` is loaded."""
+        return all(name in self._columns for name in names)
+
+    def project(self, names) -> "ColumnarEvents":
+        """The same rows restricted to ``names`` (no copy)."""
+        return ColumnarEvents(
+            self.n, {name: self._columns[name] for name in names})
+
+    def merged(self, other: "ColumnarEvents") -> "ColumnarEvents":
+        """These columns plus ``other``'s (same rows, same order)."""
+        return ColumnarEvents(self.n, {**other._columns, **self._columns})
 
     def select(self, mask: np.ndarray) -> "ColumnarEvents":
         """Row subset by boolean mask (order preserved)."""
         indices = np.flatnonzero(mask)
         return ColumnarEvents(
-            timestamps=self.timestamps[indices],
-            src_ip=self.src_ip.take(indices),
-            dbms=self.dbms.take(indices),
-            interaction=self.interaction.take(indices),
-            config=self.config.take(indices),
-            country=self.country.take(indices),
-            asn=self.asn[indices],
-            as_name=self.as_name.take(indices),
-            as_type=self.as_type.take(indices),
-            institutional=self.institutional[indices],
-            event_type=self.event_type.take(indices),
-            action=self.action.take(indices),
-            username=self.username.take(indices),
-            password=self.password.take(indices),
-            raw=self.raw.take(indices),
-        )
+            len(indices), {name: _take(column, indices)
+                           for name, column in self._columns.items()})
 
     def filter(self, *, interaction: str | None = None,
                dbms: str | None = None) -> "ColumnarEvents":
@@ -202,51 +256,58 @@ class TfArtifact:
     matrix: np.ndarray
 
 
-def _scan_columnar(connection, *, interaction: str | None,
-                   dbms: str | None) -> ColumnarEvents:
-    """One ordered scan of ``events`` with WHERE pushdown."""
-    clauses, params = [], []
-    if interaction is not None:
-        clauses.append("interaction = ?")
-        params.append(interaction)
-    if dbms is not None:
-        clauses.append("dbms = ?")
-        params.append(dbms)
-    where = (" WHERE " + " AND ".join(clauses)) if clauses else ""
+def _filters(interaction: str | None,
+             dbms: str | None) -> dict[str, str]:
+    """The column -> value equalities a filter applies."""
+    return {column: value for column, value in (("interaction", interaction),
+                                                ("dbms", dbms))
+            if value is not None}
+
+
+def _where(interaction: str | None,
+           dbms: str | None) -> tuple[str, list[str]]:
+    """The SQL ``WHERE`` clause (and its parameters) of a filter."""
+    filters = _filters(interaction, dbms)
+    if not filters:
+        return "", []
+    return (" WHERE " + " AND ".join(f"{column} = ?" for column in filters),
+            list(filters.values()))
+
+
+def _scan_columnar(connection, names: tuple[str, ...], *,
+                   interaction: str | None, dbms: str | None,
+                   order: np.ndarray | None = None,
+                   ) -> tuple[ColumnarEvents, np.ndarray]:
+    """One projected scan of ``events`` with WHERE pushdown.
+
+    Rows are fetched in ``id`` (rowid) order, which needs no sort, and
+    then put in ``(timestamp, id)`` order by a stable argsort of their
+    timestamps.  ``order`` is that permutation from an earlier scan of
+    the same filter; without it, ``timestamp`` is fetched too.  Returns
+    the decoded columns and the permutation.
+    """
+    fetch = list(names)
+    if order is None and "timestamp" not in fetch:
+        fetch.append("timestamp")
+    where, params = _where(interaction, dbms)
     cursor = connection.cursor()
     cursor.row_factory = None  # plain tuples: fastest fetch path
     rows = cursor.execute(
-        f"SELECT {', '.join(_SCAN_COLUMNS)} FROM events{where} "
-        "ORDER BY timestamp, id", params).fetchall()
-    if not rows:
-        empty = StringColumn(np.empty(0, dtype=np.int32), ())
-        return ColumnarEvents(
-            timestamps=np.empty(0), src_ip=empty, dbms=empty,
-            interaction=empty, config=empty, country=empty,
-            asn=np.empty(0), as_name=empty, as_type=empty,
-            institutional=np.empty(0, dtype=bool), event_type=empty,
-            action=empty, username=empty, password=empty, raw=empty)
-    (timestamps, src_ip, dbms_col, interaction_col, config, country,
-     asn, as_name, as_type, institutional, event_type, action,
-     username, password, raw) = map(list, zip(*rows))
-    return ColumnarEvents(
-        timestamps=np.array(timestamps, dtype=np.float64),
-        src_ip=_encode(src_ip),
-        dbms=_encode(dbms_col),
-        interaction=_encode(interaction_col),
-        config=_encode(config),
-        country=_encode(country),
-        asn=np.array([np.nan if value is None else float(value)
-                      for value in asn]),
-        as_name=_encode(as_name),
-        as_type=_encode(as_type),
-        institutional=np.array(institutional, dtype=bool),
-        event_type=_encode(event_type),
-        action=_encode(action),
-        username=_encode(username),
-        password=_encode(password),
-        raw=_encode(raw),
-    )
+        f"SELECT {', '.join(fetch)} FROM events{where} ORDER BY id",
+        params).fetchall()
+    n = len(rows)
+    values = list(zip(*rows)) if rows else [()] * len(fetch)
+    del rows
+    columns = {}
+    for name in fetch:
+        # Release each column's Python objects as soon as it is encoded.
+        columns[name] = _decode_column(name, values.pop(0))
+    if order is None:
+        order = np.argsort(columns["timestamp"], kind="stable")
+    elif len(order) != n:
+        raise RuntimeError("events changed between scans of one store")
+    return ColumnarEvents(n, {name: _take(column, order)
+                              for name, column in columns.items()}), order
 
 
 def _cache_disabled_by_env() -> bool:
@@ -292,7 +353,8 @@ class AnalysisStore:
         #: Local mirror of the ``analysis.*`` metrics, for callers
         #: without an installed telemetry bundle (and the benchmarks).
         self.stats: dict = {"hits": 0, "misses": 0, "stale": 0,
-                            "scans": 0, "scan_seconds": 0.0,
+                            "scans": 0, "scan_cells": 0,
+                            "scan_seconds": 0.0,
                             "build_seconds": {}}
 
     # -- plumbing ---------------------------------------------------------
@@ -479,46 +541,97 @@ class AnalysisStore:
             obs.current().metrics.inc("analysis.cache_write_errors",
                                       kind=kind)
 
-    # -- the one scan -----------------------------------------------------
+    # -- the projected scan -----------------------------------------------
 
     def events(self, *, interaction: str | None = None,
-               dbms: str | None = None) -> ColumnarEvents:
+               dbms: str | None = None,
+               columns=SCAN_COLUMNS) -> ColumnarEvents:
         """The events table (or a filtered slice) in columnar form.
 
-        The unfiltered table is scanned at most once per digest; when
-        it is already in memory, filtered slices are boolean-mask views
-        of it.  A filtered request with no full table loaded pushes the
-        filters down into SQL instead (one indexed, filtered scan).
+        Only ``columns`` are loaded.  Each distinct (filter, projection)
+        request is one cached artifact; building it reads from the
+        columns already in memory wherever it can: a resident load of
+        the same filter that covers the projection is projected, and a
+        resident unfiltered load that also covers the filter columns is
+        masked.  A filter that keeps every row (by SQL count) is served
+        as the unfiltered load.  Otherwise only the missing columns are
+        fetched, in one query with the filters pushed down into SQL.
         """
-        params = (interaction, dbms)
-        self._refresh()
-        if params != (None, None):
-            full = self._memory.get(("events", (None, None)))
-            if full is not None:
-                memo_key = ("events", params)
-                cached = self._memory.get(memo_key)
-                if cached is None:
-                    cached = self._memory[memo_key] = full.filter(
-                        interaction=interaction, dbms=dbms)
-                return cached
-        return self._artifact("events", params,
-                              lambda: self._scan(interaction, dbms))
+        names = _projection(columns)
+        params = (interaction, dbms, names)
+        served = self._artifact(
+            "events", params, lambda: self._load(interaction, dbms, names))
+        self._keep((interaction, dbms), served, None)
+        return served
 
-    def _scan(self, interaction: str | None,
-              dbms: str | None) -> ColumnarEvents:
+    def _resident(self, interaction: str | None, dbms: str | None):
+        """``(columns, order)`` loaded so far for one filter, if any."""
+        return self._memory.get(("resident", interaction, dbms),
+                                (None, None))
+
+    def _keep(self, key: tuple, events: ColumnarEvents,
+              order: np.ndarray | None) -> None:
+        """Fold ``events`` into the resident load of filter ``key``."""
+        resident, known = self._resident(*key)
+        if resident is not None:
+            if resident.covers(events.columns):
+                return
+            events = resident.merged(events)
+            order = known if known is not None else order
+        self._memory[("resident", *key)] = (events, order)
+
+    def _count(self, interaction: str | None, dbms: str | None) -> int:
+        """Rows matching a filter (an index-only SQL count, memoized)."""
+        key = ("count", interaction, dbms)
+        if key not in self._memory:
+            where, params = _where(interaction, dbms)
+            self._memory[key] = self.connection.execute(
+                f"SELECT COUNT(*) FROM events{where}", params).fetchone()[0]
+        return self._memory[key]
+
+    def _load(self, interaction: str | None, dbms: str | None,
+              names: tuple[str, ...]) -> ColumnarEvents:
+        if (interaction is not None or dbms is not None) and (
+                self._count(interaction, dbms) == self._count(None, None)):
+            # The filter keeps every row (a tier filter on that tier's
+            # database): serve it from the unfiltered load.
+            interaction = dbms = None
+        if interaction is not None or dbms is not None:
+            full, _ = self._resident(None, None)
+            needed = names + tuple(_filters(interaction, dbms))
+            if full is not None and full.covers(needed):
+                return full.project(needed).filter(
+                    interaction=interaction, dbms=dbms).project(names)
+        resident, order = self._resident(interaction, dbms)
+        missing = tuple(name for name in names
+                        if resident is None or name not in resident)
+        if missing:
+            fetched, order = self._scan(interaction, dbms, missing, order)
+            self._keep((interaction, dbms), fetched, order)
+            resident, _ = self._resident(interaction, dbms)
+        return resident.project(names)
+
+    def _scan(self, interaction: str | None, dbms: str | None,
+              names: tuple[str, ...], order: np.ndarray | None,
+              ) -> tuple[ColumnarEvents, np.ndarray]:
         telemetry = obs.current()
         start = time.perf_counter()
         with telemetry.tracer.span("analysis.scan", db=self.db_path.name):
-            columns = _scan_columnar(self.connection,
-                                     interaction=interaction, dbms=dbms)
+            columns, order = _scan_columnar(
+                self.connection, names, interaction=interaction,
+                dbms=dbms, order=order)
         elapsed = time.perf_counter() - start
+        cells = columns.n * len(columns.columns)
         self.stats["scans"] += 1
+        self.stats["scan_cells"] += cells
         self.stats["scan_seconds"] += elapsed
         telemetry.metrics.observe("analysis.scan_seconds", elapsed,
                                   db=self.db_path.name)
         telemetry.metrics.inc("analysis.scan_rows", columns.n,
                               db=self.db_path.name)
-        return columns
+        telemetry.metrics.inc("analysis.scan_cells", cells,
+                              db=self.db_path.name)
+        return columns, order
 
     # -- derived views ----------------------------------------------------
 
@@ -529,7 +642,8 @@ class AnalysisStore:
         params = ("v1", interaction, dbms, start_ts)
 
         def build() -> dict[tuple[str, str], IpProfile]:
-            columns = self.events(interaction=interaction, dbms=dbms)
+            columns = self.events(interaction=interaction, dbms=dbms,
+                                  columns=PROFILE_COLUMNS)
             base_ts = start_ts
             if base_ts is None:
                 base_ts = (float(columns.timestamps[0])
@@ -607,18 +721,20 @@ class AnalysisStore:
     def hourly_series(self, *, interaction: str | None = None,
                       dbms: str | None = None, label: str | None = None):
         """Figure 2 series for one slice (see :mod:`repro.core.temporal`)."""
-        from repro.core.temporal import series_from_columns
+        from repro.core.temporal import SERIES_COLUMNS, series_from_columns
 
-        columns = self.events(interaction=interaction, dbms=dbms)
+        columns = self.events(interaction=interaction, dbms=dbms,
+                              columns=SERIES_COLUMNS)
         if not columns.n:
             return series_from_columns(columns, label or "empty")
         return series_from_columns(columns, label or (dbms or "all"))
 
     def per_dbms_series(self, *, interaction: str = "low") -> dict:
         """Figures 6-9: one hourly series per DBMS."""
-        from repro.core.temporal import series_from_columns
+        from repro.core.temporal import SERIES_COLUMNS, series_from_columns
 
-        sliced = self.events(interaction=interaction)
+        sliced = self.events(interaction=interaction,
+                             columns=SERIES_COLUMNS + ("dbms",))
         return {name: series_from_columns(
                     sliced.filter(dbms=name), name)
                 for name in sorted(sliced.dbms.unique_values())}

@@ -20,6 +20,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _HOUR = 3600.0
 
+#: The ``events`` columns :func:`series_from_columns` reads.
+SERIES_COLUMNS = ("timestamp", "src_ip")
+
 
 @dataclass(frozen=True)
 class TemporalSeries:

@@ -569,6 +569,8 @@ def _run_replay(config: ExperimentConfig, telemetry: obs.Telemetry,
                          checkpoint_info=_checkpoint_info(
                              config, checkpointer, resume_state,
                              fast_forwarded, result))
+    elif checkpointer is not None:
+        _drop_partial_report(output_dir)
     return result
 
 
@@ -694,8 +696,9 @@ def _write_partial_report(config: ExperimentConfig, output_dir: Path,
     """Refresh a ``"partial": true`` manifest at every checkpoint.
 
     A killed checkpointed run then still answers ``repro stats`` with
-    how far it durably got; the final manifest overwrites this on
-    clean completion.  Written atomically -- a crash mid-write must
+    how far it durably got; on clean completion the final manifest
+    overwrites this (telemetry on) or :func:`_drop_partial_report`
+    removes it (telemetry off).  Written atomically -- a crash mid-write must
     not leave a torn manifest behind.
     """
     manifest = {
@@ -718,6 +721,23 @@ def _write_partial_report(config: ExperimentConfig, output_dir: Path,
     tmp = path.with_name(path.name + ".tmp")
     obs_report.write_report(manifest, tmp)
     os.replace(tmp, path)
+
+
+def _drop_partial_report(output_dir: Path) -> None:
+    """Remove the checkpoint manifest of a cleanly completed run.
+
+    Without telemetry no final manifest supersedes the ``"partial":
+    true`` one written at each checkpoint, so it is removed instead and
+    the run directory matches any other telemetry-off run.  A manifest
+    that is not partial (or not readable as one) is left alone.
+    """
+    path = output_dir / obs_report.REPORT_FILENAME
+    try:
+        partial = obs_report.load_report(path).get("partial") is True
+    except (OSError, ValueError):
+        return
+    if partial:
+        path.unlink(missing_ok=True)
 
 
 def _finalize_report(config: ExperimentConfig, telemetry: obs.Telemetry,

@@ -404,6 +404,35 @@ class TestCheckpointOffParity:
         assert manifest["checkpoint"] is None
 
 
+class TestTelemetryOffManifest:
+    def test_clean_checkpointed_run_leaves_no_partial_manifest(
+            self, tmp_path, monkeypatch):
+        # Regression: the checkpoint manifest ("partial": true) was
+        # only ever replaced by the telemetry-on final manifest, so a
+        # clean telemetry-off run looked interrupted to `repro stats`
+        # and `repro verify`.
+        from repro.deployment import experiment
+
+        written = []
+        write = experiment._write_partial_report
+
+        def recording_write(config, output_dir, *args):
+            write(config, output_dir, *args)
+            written.append(json.loads(
+                (output_dir / "run_report.json").read_text("utf-8")))
+
+        monkeypatch.setattr(experiment, "_write_partial_report",
+                            recording_write)
+        result = run_experiment(ExperimentConfig(
+            seed=SEED, volume_scale=2e-5, output_dir=tmp_path,
+            checkpoint_interval=0.01))
+        assert result.checkpoints_taken >= 1
+        # Until completion a kill would have left the manifest behind.
+        assert written and all(m["partial"] is True for m in written)
+        assert not (tmp_path / "run_report.json").exists()
+        assert (tmp_path / "run_journal").is_dir()
+
+
 class TestKillResume:
     def test_resume_mid_kill_is_byte_identical(self, killed_run,
                                                reference, tmp_path):

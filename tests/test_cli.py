@@ -103,11 +103,23 @@ class TestCommands:
         code = main(["report", "--output", str(output),
                      "--scale", "0.0002"])
         assert code == 0
-        captured = capsys.readouterr().out
-        assert "Table 5" in captured
-        assert "Table 8" in captured
-        assert "Russia" in captured
-        assert "Kinsing" in captured
+        cold = capsys.readouterr()
+        assert "Table 5" in cold.out
+        assert "Table 8" in cold.out
+        assert "Russia" in cold.out
+        assert "Kinsing" in cold.out
+        # The stderr cache line counts the cells each scan fetched.
+        assert "analysis cache [low]: 0 hits" in cold.err
+        assert "1 scans" in cold.err and "cells scanned" in cold.err
+
+        # Warm passes never scan; --no-cache rescans.  Both print the
+        # cold report byte for byte.
+        for extra, scanned in (([], False), (["--no-cache"], True)):
+            assert main(["report", "--output", str(output),
+                         "--scale", "0.0002", *extra]) == 0
+            again = capsys.readouterr()
+            assert again.out == cold.out
+            assert ("0 scans, 0 cells scanned" in again.err) != scanned
 
     def test_report_missing_run_errors(self, tmp_path, capsys):
         code = main(["report", "--output", str(tmp_path / "nope")])

@@ -12,10 +12,11 @@ import sqlite3
 import numpy as np
 import pytest
 
-from repro.core.loading import load_ip_profiles
+from repro.core.loading import PROFILE_COLUMNS, load_ip_profiles
 from repro.core.reports import cluster_dbms
 from repro.core.store import (AnalysisStore, CACHE_DIR_ENV,
-                              CACHE_TOGGLE_ENV, borrow_store)
+                              CACHE_TOGGLE_ENV, SCAN_COLUMNS, borrow_store)
+from repro.core.temporal import SERIES_COLUMNS
 from repro.netsim.address_space import AddressSpace
 from repro.netsim.asdb import ASType
 from repro.netsim.geoip import GeoIPDatabase
@@ -89,6 +90,191 @@ class TestColumnarEvents:
         store = AnalysisStore(db_path, use_cache=False)
         assert sorted(store.events().dbms.unique_values()) == [
             "mysql", "redis"]
+
+
+def _make_scan_db(path):
+    """A database whose ``id`` order is not its timestamp order.
+
+    Events are converted out of time order, with tied timestamps,
+    non-ASCII strings, and NULL ``asn``/``action``/``username``/
+    ``password``/``raw`` cells.
+    """
+    space = AddressSpace()
+    space.register_as(64500, "ExampleNet", "US", ASType.HOSTING)
+    ips = [str(space.allocate(64500)) for _ in range(5)]
+    geoip = GeoIPDatabase.from_address_space(space)
+    shapes = [
+        ("connect", {}),
+        ("login_attempt", {"username": "r\u00f6\u00f6t",
+                           "password": "p\u00e4ss\u2603"}),
+        ("login_attempt", {"username": "sa"}),
+        ("command", {"action": "SELECT '\u65e5\u672c'",
+                     "raw": "select '\u65e5\u672c'"}),
+        ("command", {"action": "INFO"}),
+        ("malformed", {"raw": "\x16\x03\u00ff"}),
+    ]
+    events = []
+    for step in range(60):
+        event_type, fields = shapes[step % len(shapes)]
+        # Offsets run backwards in blocks and repeat: ids ascend while
+        # timestamps descend, and every timestamp is shared by 3 rows.
+        offset = float((59 - step) // 3)
+        events.append(LogEvent(
+            timestamp=BASE_TS + offset, honeypot_id="hp",
+            honeypot_type="test",
+            dbms=("mssql", "redis", "mysql")[step % 3],
+            interaction=("low", "medium")[step % 2],
+            config=("single", "multi")[step % 2],
+            src_ip=ips[step % len(ips)], src_port=1,
+            event_type=event_type, **fields))
+    path = convert_to_sqlite(events, path, geoip)
+    with sqlite3.connect(path) as connection:
+        connection.execute("UPDATE events SET asn = NULL WHERE id % 4 = 0")
+        connection.execute(
+            "UPDATE events SET as_name = 'B\u00e9ta Netz' WHERE id % 5 = 0")
+    return path
+
+
+def _oracle(db_path, interaction=None, dbms=None) -> dict:
+    """The pre-projection decode: all 15 columns, ``ORDER BY timestamp,
+    id`` in SQL, one Python value per cell."""
+    clauses, params = [], []
+    for column, value in (("interaction", interaction), ("dbms", dbms)):
+        if value is not None:
+            clauses.append(f"{column} = ?")
+            params.append(value)
+    where = (" WHERE " + " AND ".join(clauses)) if clauses else ""
+    with sqlite3.connect(db_path) as connection:
+        rows = connection.execute(
+            f"SELECT {', '.join(SCAN_COLUMNS)} FROM events{where} "
+            "ORDER BY timestamp, id", params).fetchall()
+    columns = {name: [row[index] for row in rows]
+               for index, name in enumerate(SCAN_COLUMNS)}
+    columns["asn"] = [None if value is None else float(value)
+                      for value in columns["asn"]]
+    columns["institutional"] = [bool(value)
+                                for value in columns["institutional"]]
+    return columns
+
+
+def _decoded(events, name):
+    column = getattr(events, "timestamps" if name == "timestamp" else name)
+    if name == "asn":
+        return [None if value != value else value
+                for value in column.tolist()]
+    if isinstance(column, np.ndarray):
+        return column.tolist()
+    return column.decode()
+
+
+_PROJECTIONS = ([(name,) for name in SCAN_COLUMNS]
+                + [SERIES_COLUMNS, SERIES_COLUMNS + ("dbms",),
+                   PROFILE_COLUMNS, SCAN_COLUMNS])
+_FILTERS = [{}, {"interaction": "low"}, {"interaction": "medium"},
+            {"dbms": "mssql"}, {"interaction": "low", "dbms": "redis"},
+            {"dbms": "absent"}]
+
+
+class TestProjectedScan:
+    @pytest.fixture
+    def scan_db(self, tmp_path):
+        return _make_scan_db(tmp_path / "scan.sqlite")
+
+    def test_crafted_db_exercises_the_ordering(self, scan_db):
+        with sqlite3.connect(scan_db) as connection:
+            by_id = [row[0] for row in connection.execute(
+                "SELECT timestamp FROM events ORDER BY id")]
+            nulls = connection.execute(
+                "SELECT COUNT(*) FROM events WHERE asn IS NULL").fetchone()
+        assert by_id != sorted(by_id)
+        assert len(set(by_id)) < len(by_id)
+        assert nulls[0] > 0
+
+    @pytest.mark.parametrize("projection", _PROJECTIONS,
+                             ids=lambda p: "+".join(p))
+    @pytest.mark.parametrize("filters", _FILTERS,
+                             ids=lambda f: repr(f) if f else "all")
+    def test_projection_matches_oracle(self, scan_db, projection,
+                                       filters):
+        expected = _oracle(scan_db, **filters)
+        n = len(expected["timestamp"])
+        # Three routes to the same slice: a fresh pushed-down scan, a
+        # mask over a resident unfiltered load, and a narrow load
+        # widened by fetching only the missing columns.
+        pushed = AnalysisStore(scan_db, use_cache=False)
+        masked = AnalysisStore(scan_db, use_cache=False)
+        masked.events()
+        widened = AnalysisStore(scan_db, use_cache=False)
+        widened.events(columns=("src_ip",), **filters)
+        for store in (pushed, masked, widened):
+            events = store.events(columns=projection, **filters)
+            assert events.n == n
+            assert events.columns == projection
+            for name in projection:
+                assert _decoded(events, name) == expected[name], name
+            store.close()
+
+    def test_each_missing_column_fetched_once(self, scan_db):
+        store = AnalysisStore(scan_db, use_cache=False)
+        n = store.events(columns=("src_ip",)).n
+        assert store.stats["scan_cells"] == 2 * n  # + timestamp to sort
+        store.events(columns=SERIES_COLUMNS)  # already resident
+        assert store.stats["scans"] == 1
+        store.events(columns=("src_ip", "raw", "dbms"))
+        assert store.stats["scans"] == 2
+        assert store.stats["scan_cells"] == 4 * n  # only raw, dbms
+        store.events(dbms="mysql", columns=("raw", "src_ip"))  # by mask
+        assert store.stats["scans"] == 2
+
+    def test_filter_keeping_every_row_reuses_unfiltered_load(
+            self, scan_db):
+        # A tier filter on that tier's own database selects every row,
+        # so it only fetches the columns the unfiltered load lacks.
+        with sqlite3.connect(scan_db) as connection:
+            connection.execute("UPDATE events SET interaction = 'low'")
+        store = AnalysisStore(scan_db, use_cache=False)
+        n = store.events(columns=SERIES_COLUMNS).n
+        events = store.events(interaction="low",
+                              columns=SERIES_COLUMNS + ("dbms",))
+        assert store.stats["scans"] == 2
+        assert store.stats["scan_cells"] == 3 * n
+        expected = _oracle(scan_db, interaction="low")
+        for name in SERIES_COLUMNS + ("dbms",):
+            assert _decoded(events, name) == expected[name], name
+
+    def test_unknown_column_rejected(self, scan_db):
+        store = AnalysisStore(scan_db, use_cache=False)
+        with pytest.raises(ValueError, match="bogus"):
+            store.events(columns=("timestamp", "bogus"))
+        with pytest.raises(AttributeError, match="raw"):
+            store.events(columns=SERIES_COLUMNS).raw
+
+    def test_cold_report_scans_each_database_once(self, db_path):
+        from repro.cli import report_text
+
+        with sqlite3.connect(db_path) as connection:
+            (rows,) = connection.execute(
+                "SELECT COUNT(*) FROM events").fetchone()
+        with AnalysisStore(db_path, use_cache=False) as low, \
+                AnalysisStore(db_path, use_cache=False) as midhigh:
+            report_text(low, midhigh, 0.002)
+            assert low.stats["scans"] == midhigh.stats["scans"] == 1
+            # Figure 2 is all the low tier is scanned for.
+            assert low.stats["scan_cells"] == rows * len(SERIES_COLUMNS)
+            assert (midhigh.stats["scan_cells"]
+                    == rows * len(PROFILE_COLUMNS))
+
+    def test_warm_low_pass_loads_only_its_projection(self, db_path):
+        from repro.core.temporal import hourly_series
+
+        with AnalysisStore(db_path) as cold:
+            series = hourly_series(cold)
+        (artifact,) = cold.cache_dir.glob("events-*.pkl")
+        payload = pickle.loads(artifact.read_bytes())
+        assert payload["value"].columns == SERIES_COLUMNS
+        with AnalysisStore(db_path) as warm:
+            assert hourly_series(warm) == series
+            assert warm.stats["scans"] == 0
 
 
 class TestStoreMatchesDirectLoad:
