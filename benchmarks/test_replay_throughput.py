@@ -59,7 +59,6 @@ def test_replay_throughput(emit):
             "events": events,
             "wall_seconds": round(wall, 3),
             "events_per_second": round(events / wall, 1),
-            "merge_seconds": engine.stats.get("merge_seconds"),
         })
 
     serial = runs[0]

@@ -31,7 +31,6 @@ it).  Disabled (the default), every hook is a no-op.
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 import uuid
@@ -312,11 +311,8 @@ def _run_instrumented(config: ExperimentConfig, telemetry: obs.Telemetry,
         trace_shards=config.trace_out is not None,
         flight_dir=output_dir if telemetry.enabled else None,
         run_id=run_id,
-        # Checkpointing needs outcomes streamed as they complete (a
-        # barrier that waits for every shard would mean zero durable
-        # progress until the very end), and a resume needs every shard
-        # to fast-forward past the committed watermark.
-        stream_outcomes=journal is not None,
+        # A resume fast-forwards every shard past the committed
+        # watermark.
         watermark=(resume_state.watermark
                    if resume_state is not None else None))
     live_server = None
@@ -420,7 +416,8 @@ def _run_replay(config: ExperimentConfig, telemetry: obs.Telemetry,
     # The replay engine and the sink pipeline interleave on this
     # thread, so the loop splits its time manually: pulling the next
     # outcome is "replay", feeding its events through the sinks is
-    # "split" (sharded engines do all pool work inside the first pull).
+    # "split" (for a sharded engine, "replay" is the wait for the
+    # merge).
     mark = time.perf_counter()
     stream = iter(engine.replay(schedule, plan, config.seed, telemetry,
                                 ops))
@@ -487,6 +484,14 @@ def _run_replay(config: ExperimentConfig, telemetry: obs.Telemetry,
                         events_quarantined, checkpointer, journal)
             mark = time.perf_counter()
     except BaseException:
+        # Stop the engine's workers before anything else: a sharded
+        # stream left open would keep them replaying into a queue
+        # nobody reads.  A failure while stopping them must not replace
+        # the original error or skip the abort below.
+        try:
+            stream.close()
+        except BaseException:
+            pass
         if durable:
             # Leave only durably-committed state behind for a later
             # ``--resume`` to validate; never mask the original error.
@@ -698,8 +703,7 @@ def _write_partial_report(config: ExperimentConfig, output_dir: Path,
     A killed checkpointed run then still answers ``repro stats`` with
     how far it durably got; on clean completion the final manifest
     overwrites this (telemetry on) or :func:`_drop_partial_report`
-    removes it (telemetry off).  Written atomically -- a crash mid-write must
-    not leave a torn manifest behind.
+    removes it (telemetry off).
     """
     manifest = {
         "schema": obs_report.SCHEMA,
@@ -717,10 +721,8 @@ def _write_partial_report(config: ExperimentConfig, output_dir: Path,
         "checkpoint": {"count": checkpointer.count,
                        "journal": str(journal.path)},
     }
-    path = output_dir / obs_report.REPORT_FILENAME
-    tmp = path.with_name(path.name + ".tmp")
-    obs_report.write_report(manifest, tmp)
-    os.replace(tmp, path)
+    obs_report.write_report(manifest,
+                            output_dir / obs_report.REPORT_FILENAME)
 
 
 def _drop_partial_report(output_dir: Path) -> None:

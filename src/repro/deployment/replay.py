@@ -8,14 +8,15 @@ its failure (if the visit crashed and was quarantined).  The driver
 consumes that stream once, feeding events straight into the sink
 pipeline.
 
-Two engines:
+Both engines run the same per-visit loop (:func:`_visits`):
 
-* :class:`SerialExecutor` -- one thread, visits in schedule order; the
-  exact behavior of the original monolithic loop.
+* :class:`SerialExecutor` -- runs it on the driver thread, in schedule
+  order, in the driver's own runtime context (the reference engine).
 * :class:`ShardedExecutor` -- partitions the schedule by *target
-  honeypot* (``crc32(target_key) % workers``), replays each shard on
-  its own worker, and merges the per-shard outcome streams back into
-  canonical ``(offset, ip, seq)`` order.
+  honeypot* (``crc32(target_key) % workers``), runs the loop per shard
+  on its own worker under a private context, and merges the per-shard
+  outcome streams back into canonical ``(offset, ip, seq)`` order as
+  they arrive (so the driver can checkpoint mid-run).
 
 Partitioning by target is what makes the parallel run *deterministic*
 with respect to the serial one.  The actor side is stateless across
@@ -36,14 +37,14 @@ stream.
 
 Workers prefer a ``fork``-context process pool (each worker inherits
 the already-built plan and schedule copy-on-write, replays its shard,
-and ships its outcomes back); where ``fork`` is unavailable the engine
+and streams its outcomes back); where ``fork`` is unavailable the engine
 falls back to threads, whose per-shard runtime contexts install
 thread-locally (see :mod:`repro.runtime`).
 """
 
 from __future__ import annotations
 
-import heapq
+import contextlib
 import multiprocessing
 import os
 import queue as queue_module
@@ -55,9 +56,10 @@ import zlib
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import timedelta
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Iterator, Sequence
 
 from repro import obs
@@ -71,7 +73,7 @@ from repro.obs import live as obs_live
 from repro.obs import logging as obs_logging
 from repro.pipeline.logstore import LogEvent
 from repro.resilience import faults
-from repro.runtime import worker_context
+from repro.runtime import RunContext, worker_context
 
 __all__ = [
     "OpsOptions", "ScheduledVisit", "VisitOutcome", "ReplayEngine",
@@ -284,10 +286,6 @@ class OpsOptions:
     flight_dir: Path | None = None
     #: Correlation id bound into every worker ops-log record.
     run_id: str | None = None
-    #: Stream outcomes to the driver as they replay (required for
-    #: mid-run checkpoints; the default eager mode delivers them only
-    #: after every shard finishes).
-    stream_outcomes: bool = False
     #: Resume watermark ``(offset, ip, seq)``: visits at or below it
     #: fast-forward (honeypot state + RNG/fault accounting rebuilt,
     #: events stripped as already durable).
@@ -318,7 +316,7 @@ class ReplayEngine:
     name = "abstract"
     workers = 1
     #: Populated by :meth:`replay` with the manifest's ``replay``
-    #: section (shard sizes, per-shard wall times, merge time).
+    #: section (shard sizes and per-shard wall times).
     stats: dict | None = None
 
     def replay(self, schedule: Sequence[ScheduledVisit],
@@ -328,13 +326,40 @@ class ReplayEngine:
         raise NotImplementedError
 
 
+def _visits(plan: DeploymentPlan, schedule: Sequence[ScheduledVisit],
+            seed: int, span: Callable,
+            watermark: tuple[float, str, int] | None = None,
+            kill_plan: faults.FaultPlan | None = None
+            ) -> Iterator[VisitOutcome]:
+    """The per-visit loop shared by serial replay and every shard.
+
+    Visits at or below ``watermark`` fast-forward; with ``kill_plan``
+    (the victim shard of a fork pool) the ``proc.kill`` site is drawn
+    before each live visit.
+    """
+    clock = SimClock()
+    rng = random.Random()  # reused: re-seeded per visit
+    for offset, actor_ip, sequence, visit in schedule:
+        if watermark is not None and \
+                (offset, actor_ip, sequence) <= watermark:
+            yield _fast_forward_visit(plan, clock, seed, offset, actor_ip,
+                                      sequence, visit, rng)
+            continue
+        if kill_plan is not None and kill_plan.should_fire("proc.kill"):
+            obs.current().logger.error("proc.kill", actor=actor_ip,
+                                       seq=sequence,
+                                       target=visit.target_key)
+            os.kill(os.getpid(), signal.SIGKILL)
+        yield _replay_visit(plan, clock, seed, offset, actor_ip, sequence,
+                            visit, span, rng)
+
+
 class SerialExecutor(ReplayEngine):
     """Single-threaded replay in schedule order (the reference engine).
 
-    The driver's own registry *is* the live aggregate here -- metrics
-    land in it as visits replay -- so the bus is never needed; the ops
-    options only contribute the flight-dump coverage the driver
-    already arms process-wide.
+    Runs :func:`_visits` in the driver's own context: metrics land
+    directly in the driver registry, so no bus, pool or absorb step is
+    needed.
     """
 
     name = "serial"
@@ -344,18 +369,8 @@ class SerialExecutor(ReplayEngine):
                telemetry: obs.Telemetry,
                ops: OpsOptions | None = None) -> Iterator[VisitOutcome]:
         self.stats = {"executor": self.name, "workers": 1}
-        watermark = ops.watermark if ops is not None else None
-        clock = SimClock()
-        span = telemetry.tracer.span
-        rng = random.Random()  # reused: re-seeded per visit
-        for offset, actor_ip, sequence, visit in schedule:
-            if watermark is not None and \
-                    (offset, actor_ip, sequence) <= watermark:
-                yield _fast_forward_visit(plan, clock, seed, offset,
-                                          actor_ip, sequence, visit, rng)
-            else:
-                yield _replay_visit(plan, clock, seed, offset, actor_ip,
-                                    sequence, visit, span, rng)
+        yield from _visits(plan, schedule, seed, telemetry.tracer.span,
+                           ops.watermark if ops is not None else None)
 
 
 def _fast_forward_visit(plan: DeploymentPlan, clock: SimClock, seed: int,
@@ -386,41 +401,42 @@ def _fast_forward_visit(plan: DeploymentPlan, clock: SimClock, seed: int,
 
 @dataclass
 class _ShardResult:
-    """What one worker ships back to the driver."""
+    """What one worker returns to the driver once its shard is done
+    (its outcomes travel over the outcome queue as they replay)."""
 
     shard: int
-    outcomes: list[VisitOutcome]
     wall_seconds: float
     #: :meth:`repro.runtime.RunContext.report` of the worker.
     report: dict
-    #: Shard totals, counted in the worker -- the streaming mode ships
-    #: outcomes over the queue instead of in ``outcomes``, so the stats
-    #: cannot be recomputed from the result object.
     visits: int = 0
     events: int = 0
     quarantined: int = 0
 
 
-#: Copy-on-write state for fork-pool workers, set by the parent
-#: immediately before the pool is created (workers inherit it).
-_FORK_STATE: dict | None = None
+#: A shard ships its outcomes in lists of up to this many, and at
+#: least every ``_FLUSH_SECONDS``: one queue message per outcome costs
+#: the workers and the driver measurably more pickling and pipe work.
+_OUTCOME_BATCH = 64
+_FLUSH_SECONDS = 0.05
+
+#: Argument tuple of :func:`_replay_shard` (minus the shard index) for
+#: fork-pool workers, set by the parent immediately before the pool is
+#: created (workers inherit it copy-on-write).
+_FORK_STATE: tuple | None = None
 
 
-def _replay_shard(plan: DeploymentPlan, shard: int,
-                  schedule: Sequence[ScheduledVisit], seed: int,
-                  telemetry_enabled: bool,
-                  fault_payload: dict | None,
-                  ops: _WorkerOps | None = None,
-                  bus_queue=None, outcome_queue=None) -> _ShardResult:
+def _replay_shard(shard: int, plan: DeploymentPlan,
+                  shards: Sequence[Sequence[ScheduledVisit]], seed: int,
+                  telemetry_enabled: bool, fault_payload: dict | None,
+                  ops: _WorkerOps, bus_queue, outcome_queue,
+                  stop) -> _ShardResult:
     """Replay one shard under its own thread-local runtime context.
 
-    With ``outcome_queue`` (streaming mode) each outcome is shipped to
-    the driver as it replays -- ``("outcome", shard, outcome)`` tuples
-    followed by one ``("done", shard)`` marker -- instead of
-    accumulating in the result.
+    Outcomes are shipped to the driver as they replay, in small
+    ``(shard, outcomes, finished)`` batches; the last one has
+    ``finished`` set.  A set ``stop`` flag (the driver gave up early)
+    ends the shard after the current visit.
     """
-    if ops is None:
-        ops = _WorkerOps()
     context = worker_context(telemetry_enabled, fault_payload,
                              tracing=ops.tracing)
     telemetry = context.telemetry
@@ -437,86 +453,66 @@ def _replay_shard(plan: DeploymentPlan, shard: int,
                    else None)
     watermark = (tuple(ops.watermark) if ops.watermark is not None
                  else None)
+    schedule = shards[shard]
     start = time.perf_counter()
-    outcomes = []
     visits = events_total = quarantined = 0
+    batch: list[VisitOutcome] = []
+    flushed = start
     with context.activate_local(), obs_logging.bind(**correlation):
         shard_plan = faults.current()
-        kill_armed = ops.kill_armed and shard_plan is not faults.NULL_PLAN
-        if kill_armed:
-            # Every worker derives the same seeded victim; only the
-            # victim shard ever evaluates the site, so the kill point
-            # is reproducible and exactly one worker dies.
-            victim = random.Random(
-                f"{shard_plan.seed}:proc.kill:victim").randrange(
-                    max(1, ops.workers))
-            kill_armed = victim == shard
+        kill_plan = None
+        # Every worker derives the same seeded victim; only the victim
+        # shard ever evaluates the site, so the kill point is
+        # reproducible and exactly one worker dies.
+        if ops.kill_armed and shard_plan is not faults.NULL_PLAN and \
+                random.Random(f"{shard_plan.seed}:proc.kill:victim"
+                              ).randrange(max(1, ops.workers)) == shard:
+            kill_plan = shard_plan
         logger = telemetry.logger
         logger.info("shard.start", visits=len(schedule),
                     resuming=watermark is not None)
         with (telemetry.flight.armed(flight_path) if flight_path
-              else _NO_FLIGHT):
-            span = telemetry.tracer.span
-            clock = SimClock()
-            rng = random.Random()  # reused: re-seeded per visit
-            for offset, actor_ip, sequence, visit in schedule:
-                committed = (watermark is not None and
-                             (offset, actor_ip, sequence) <= watermark)
-                if kill_armed and not committed and \
-                        shard_plan.should_fire("proc.kill"):
-                    logger.error("proc.kill", actor=actor_ip,
-                                 seq=sequence,
-                                 target=visit.target_key)
-                    os.kill(os.getpid(), signal.SIGKILL)
-                if committed:
-                    outcome = _fast_forward_visit(plan, clock, seed,
-                                                  offset, actor_ip,
-                                                  sequence, visit, rng)
-                else:
-                    outcome = _replay_visit(plan, clock, seed, offset,
-                                            actor_ip, sequence, visit,
-                                            span, rng)
+              else contextlib.nullcontext()):
+            for outcome in _visits(plan, schedule, seed,
+                                   telemetry.tracer.span, watermark,
+                                   kill_plan):
                 visits += 1
                 events_total += outcome.event_total()
                 if outcome.failure is not None:
                     quarantined += 1
-                    if not committed:
+                    if not outcome.committed:
                         logger.warning("visit.quarantined",
-                                       actor=actor_ip, seq=sequence,
-                                       target=visit.target_key,
+                                       actor=outcome.actor_ip,
+                                       seq=outcome.sequence,
+                                       target=outcome.target_key,
                                        failure=outcome.failure)
                 if emitter is not None:
                     emitter.advance(outcome.event_total())
-                if outcome_queue is not None:
-                    outcome_queue.put(("outcome", shard, outcome))
-                else:
-                    outcomes.append(outcome)
-        if outcome_queue is not None:
-            outcome_queue.put(("done", shard))
+                batch.append(outcome)
+                now = time.perf_counter()
+                if len(batch) >= _OUTCOME_BATCH or \
+                        now - flushed >= _FLUSH_SECONDS:
+                    outcome_queue.put((shard, batch, False))
+                    batch, flushed = [], now
+                if stop.value:
+                    break
+        outcome_queue.put((shard, batch, True))
         if emitter is not None:
             emitter.flush()
         logger.info("shard.done", visits=visits, events=events_total)
-    return _ShardResult(shard=shard, outcomes=outcomes,
+    return _ShardResult(shard=shard,
                         wall_seconds=time.perf_counter() - start,
                         report=context.report(), visits=visits,
                         events=events_total, quarantined=quarantined)
 
 
-class _NoFlight:
-    """Placeholder context when no flight dump path is configured."""
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-_NO_FLIGHT = _NoFlight()
+def _replay_shard_forked(shard: int) -> _ShardResult:
+    assert _FORK_STATE is not None, "fork state not set before pool creation"
+    return _replay_shard(shard, *_FORK_STATE)
 
 
 def _check_futures(futures) -> None:
-    """Surface a dead worker while the streaming merge is idle.
+    """Surface a dead worker while the merge is idle.
 
     SIGKILLing a pool worker breaks every pending future; without this
     check the merge would poll its queue forever.
@@ -530,17 +526,35 @@ def _check_futures(futures) -> None:
             raise error
 
 
-def _replay_shard_forked(shard: int) -> _ShardResult:
-    state = _FORK_STATE
-    assert state is not None, "fork state not set before pool creation"
-    return _replay_shard(state["plan"], shard, state["shards"][shard],
-                         state["seed"], state["telemetry_enabled"],
-                         state["fault_payload"], state["ops"],
-                         state["bus_queue"], state.get("outcome_queue"))
+def _stop_workers(futures, outcome_queue, done: list[bool], stop) -> None:
+    """Stop every shard after the driver left the merge early.
+
+    Unstarted shards are cancelled; running ones see ``stop`` after
+    their current visit and report done.  The outcome queue is drained
+    meanwhile: a fork worker cannot exit until its queue feeder thread
+    has flushed, so without the drain the pool shutdown would wait
+    forever.
+    """
+    stop.value = 1
+    for future in futures:
+        future.cancel()
+
+    def finished(index: int) -> bool:
+        future = futures[index]
+        return done[index] or future.cancelled() or (
+            future.done() and future.exception() is not None)
+
+    while not all(finished(index) for index in range(len(futures))):
+        try:
+            message = outcome_queue.get(timeout=0.25)
+        except queue_module.Empty:
+            continue
+        if message[2]:
+            done[message[0]] = True
 
 
 class ShardedExecutor(ReplayEngine):
-    """Partition-by-actor replay on a worker pool, merged canonically.
+    """Partition-by-target replay on a worker pool, merged canonically.
 
     ``pool`` selects the worker flavor: ``"fork"`` (process pool,
     copy-on-write state -- the default where available), ``"thread"``
@@ -560,92 +574,52 @@ class ShardedExecutor(ReplayEngine):
                     else "thread")
         self.workers = workers
         self.pool = pool
-        #: Parent-side live bus of the most recent replay (``None``
-        #: unless :class:`OpsOptions` enabled streaming telemetry).
-        self.live_bus: "obs_live.LiveBus | None" = None
 
     def replay(self, schedule: Sequence[ScheduledVisit],
                plan: DeploymentPlan, seed: int,
                telemetry: obs.Telemetry,
                ops: OpsOptions | None = None) -> Iterator[VisitOutcome]:
-        shards = [[] for _ in range(self.workers)]
-        for entry in schedule:
-            shards[shard_of(entry[3].target_key, self.workers)].append(entry)
-        fault_payload = None
-        driver_plan = faults.current()
-        if driver_plan is not faults.NULL_PLAN:
-            fault_payload = driver_plan.payload()
-
-        bus = None
-        worker_ops = None
-        if ops is not None:
-            if ops.live and telemetry.enabled:
-                bus = obs_live.LiveBus(self._make_queue(),
-                                       aggregator=ops.aggregator,
-                                       on_message=ops.on_message)
-                bus.start()
-            worker_ops = _WorkerOps(
-                tracing=ops.trace_shards and telemetry.enabled,
-                emit_interval=ops.emit_interval,
-                flight_dir=(str(ops.flight_dir)
-                            if ops.flight_dir is not None else None),
-                run_id=ops.run_id,
-                watermark=ops.watermark,
-                kill_armed=(self.pool == "fork" and
-                            "proc.kill" in driver_plan.sites),
-                workers=self.workers)
-        elif self.pool == "fork" and "proc.kill" in driver_plan.sites:
-            worker_ops = _WorkerOps(kill_armed=True,
-                                    workers=self.workers)
-        self.live_bus = bus
-
-        if ops is not None and ops.stream_outcomes:
-            return self._replay_streaming(plan, shards, seed, telemetry,
-                                          driver_plan, fault_payload,
-                                          worker_ops, bus)
-
-        try:
-            results = self._run_shards(plan, shards, seed,
-                                       telemetry.enabled, fault_payload,
-                                       worker_ops,
-                                       bus.queue if bus else None)
-        finally:
-            # Every worker's final flush was queued before its future
-            # resolved, so stopping here folds the complete stream.
-            if bus is not None:
-                bus.stop()
-
-        live_stats, stitched_spans = self._absorb_results(
-            results, telemetry, driver_plan, worker_ops, bus)
-        merge_start = time.perf_counter()
-        merged = list(heapq.merge(*(result.outcomes for result in results),
-                                  key=lambda outcome: outcome.key))
-        merge_seconds = time.perf_counter() - merge_start
-        self.stats = self._build_stats(results, merge_seconds,
-                                       live_stats, stitched_spans)
-        return iter(merged)
-
-    def _replay_streaming(self, plan, shards, seed, telemetry,
-                          driver_plan, fault_payload, worker_ops,
-                          bus) -> Iterator[VisitOutcome]:
         """Incremental k-way merge of live per-shard outcome streams.
 
-        Workers push each outcome over a dedicated queue as it replays;
-        the driver emits an outcome as soon as every unfinished shard
-        has something buffered (its key is then globally minimal, since
+        Workers push their outcomes over a queue as they replay; the
+        driver emits an outcome as soon as every unfinished shard has
+        something buffered (its key is then globally minimal, since
         each shard's stream is canonically ordered).  This is what lets
-        the driver checkpoint mid-run -- the eager mode only yields
-        after every shard finishes.  A worker death surfaces as
+        the driver checkpoint mid-run.  A worker death surfaces as
         :class:`WorkerLostError` instead of a hang.
         """
         global _FORK_STATE
-        if worker_ops is None:
-            worker_ops = _WorkerOps()
-        count = len(shards)
-        out_queue = self._make_outcome_queue()
+        ops = ops or OpsOptions()
+        count = self.workers
+        shards = [[] for _ in range(count)]
+        for entry in schedule:
+            shards[shard_of(entry[3].target_key, count)].append(entry)
+        driver_plan = faults.current()
+        fault_payload = (None if driver_plan is faults.NULL_PLAN
+                         else driver_plan.payload())
+        worker_ops = _WorkerOps(
+            tracing=ops.trace_shards and telemetry.enabled,
+            emit_interval=ops.emit_interval,
+            flight_dir=(str(ops.flight_dir)
+                        if ops.flight_dir is not None else None),
+            run_id=ops.run_id,
+            watermark=ops.watermark,
+            kill_armed=(self.pool == "fork" and
+                        "proc.kill" in driver_plan.sites),
+            workers=count)
+        bus = None
+        if ops.live and telemetry.enabled:
+            bus = obs_live.LiveBus(self._make_queue(simple=True),
+                                   aggregator=ops.aggregator,
+                                   on_message=ops.on_message)
+            bus.start()
+        out_queue = self._make_queue()
+        stop = (SimpleNamespace(value=0) if self.pool == "thread"
+                else multiprocessing.get_context("fork").RawValue("b", 0))
+        args = (plan, shards, seed, telemetry.enabled, fault_payload,
+                worker_ops, bus.queue if bus else None, out_queue, stop)
         buffers: list[deque] = [deque() for _ in range(count)]
         done = [False] * count
-        results: list[_ShardResult] = []
 
         def emit_ready() -> Iterator[VisitOutcome]:
             while True:
@@ -658,118 +632,80 @@ class ShardedExecutor(ReplayEngine):
 
         try:
             if self.pool == "thread":
-                pool_factory = ThreadPoolExecutor(max_workers=self.workers)
-
-                def submit(pool):
-                    return [pool.submit(_replay_shard, plan, index,
-                                        shards[index], seed,
-                                        telemetry.enabled, fault_payload,
-                                        worker_ops,
-                                        bus.queue if bus else None,
-                                        out_queue)
-                            for index in range(count)]
+                pool = ThreadPoolExecutor(max_workers=count)
+                target, shard_args = _replay_shard, args
             else:
-                _FORK_STATE = {
-                    "plan": plan, "shards": shards, "seed": seed,
-                    "telemetry_enabled": telemetry.enabled,
-                    "fault_payload": fault_payload, "ops": worker_ops,
-                    "bus_queue": bus.queue if bus else None,
-                    "outcome_queue": out_queue}
-                pool_factory = ProcessPoolExecutor(
-                    max_workers=self.workers,
+                _FORK_STATE = args
+                pool = ProcessPoolExecutor(
+                    max_workers=count,
                     mp_context=multiprocessing.get_context("fork"))
-
-                def submit(pool):
-                    return [pool.submit(_replay_shard_forked, index)
-                            for index in range(count)]
-
-            with pool_factory as pool:
-                futures = submit(pool)
-                pending = count
-                while pending:
-                    try:
-                        message = out_queue.get(timeout=0.25)
-                    except queue_module.Empty:
-                        _check_futures(futures)
-                        continue
-                    if message[0] == "done":
-                        done[message[1]] = True
-                        pending -= 1
-                    else:
-                        buffers[message[1]].append(message[2])
-                    yield from emit_ready()
-                for outcome in heapq.merge(*buffers,
-                                           key=lambda o: o.key):
-                    yield outcome
+                target, shard_args = _replay_shard_forked, ()
+            with pool:
+                futures = [pool.submit(target, index, *shard_args)
+                           for index in range(count)]
                 try:
+                    pending = count
+                    while pending:
+                        try:
+                            message = out_queue.get(timeout=0.25)
+                        except queue_module.Empty:
+                            _check_futures(futures)
+                            continue
+                        shard, outcomes, finished = message
+                        buffers[shard].extend(outcomes)
+                        if finished:
+                            done[shard] = True
+                            pending -= 1
+                        yield from emit_ready()
                     results = [future.result() for future in futures]
                 except BrokenProcessPool as error:
                     raise WorkerLostError(
-                        "shard worker process died mid-replay") \
-                        from error
+                        "shard worker process died mid-replay") from error
+                except BaseException:
+                    # A driver-side error or an abandoned stream: stop
+                    # the workers before the pool waits for them.
+                    _stop_workers(futures, out_queue, done, stop)
+                    raise
         finally:
             _FORK_STATE = None
             if bus is not None:
                 bus.stop()
 
-        live_stats, stitched_spans = self._absorb_results(
-            results, telemetry, driver_plan, worker_ops, bus)
-        self.stats = self._build_stats(results, None, live_stats,
-                                       stitched_spans, streaming=True)
-
-    def _absorb_results(self, results, telemetry, driver_plan,
-                        worker_ops, bus):
-        """Fold each worker's metrics and fault counters back into the
-        driver's ambient runtime so run-wide accounting stays exact.
-        (The live aggregate is display-side only; this end-of-run merge
-        stays the single source of truth for the manifest.)"""
-        merged_reports = obs.MetricsRegistry() if telemetry.enabled \
-            else None
+        # Fold each worker's metrics and fault counters into the
+        # driver's ambient runtime so run-wide accounting stays exact.
+        # (The live aggregate is display-side only; this end-of-run
+        # merge stays the single source of truth for the manifest.)
+        driver = RunContext(telemetry=telemetry, fault_plan=driver_plan)
+        merged = obs.MetricsRegistry() if bus is not None else None
         for result in results:
-            metrics = result.report.get("metrics")
-            if metrics:
-                telemetry.metrics.merge(metrics)
-                if merged_reports is not None:
-                    merged_reports.merge(metrics)
-            fault_counts = result.report.get("faults")
-            if fault_counts:
-                driver_plan.absorb(fault_counts)
-
+            driver.absorb(result.report)
+            if merged is not None and result.report.get("metrics"):
+                merged.merge(result.report["metrics"])
         stitched_spans = 0
-        if worker_ops is not None and worker_ops.tracing:
+        if worker_ops.tracing:
             # Stitch per-shard traces into one timeline: the driver's
             # spans stay on Chrome pid 1, each shard gets its own
             # process lane.
             telemetry.tracer.process_names.setdefault(1, "driver")
-            for result in sorted(results, key=lambda r: r.shard):
-                spans = result.report.get("spans") or []
+            for result in results:
                 stitched_spans += telemetry.tracer.absorb(
-                    spans, pid=result.shard + 2,
-                    name=f"shard {result.shard}")
-
+                    result.report.get("spans") or [],
+                    pid=result.shard + 2, name=f"shard {result.shard}")
         live_stats = None
         if bus is not None:
-            progress = bus.aggregator.progress()
             live_stats = {
-                "emissions": progress["emissions"],
+                "emissions": bus.aggregator.progress()["emissions"],
                 "callback_errors": bus.callback_errors,
                 # The delta-merge invariant, checked on every live run:
                 # folding the streamed deltas must reconstruct exactly
                 # the end-of-run merged registry (counters+histograms).
                 "equals_merged": obs_live.counters_equal(
-                    bus.aggregator.snapshot(),
-                    merged_reports.snapshot()),
+                    bus.aggregator.snapshot(), merged.snapshot()),
             }
-        return live_stats, stitched_spans
-
-    def _build_stats(self, results, merge_seconds, live_stats,
-                     stitched_spans, *, streaming=False) -> dict:
-        return {
+        self.stats = {
             "executor": self.name,
-            "workers": self.workers,
+            "workers": count,
             "pool": self.pool,
-            "merge_seconds": merge_seconds,
-            "streaming": streaming,
             "live": live_stats,
             "stitched_spans": stitched_spans,
             "shards": [{
@@ -778,57 +714,18 @@ class ShardedExecutor(ReplayEngine):
                 "events": result.events,
                 "quarantined_visits": result.quarantined,
                 "wall_seconds": result.wall_seconds,
-            } for result in sorted(results, key=lambda r: r.shard)],
+            } for result in results],
         }
 
-    def _make_queue(self):
-        """A bus queue workers of this pool flavor can reach: plain
-        in-process for threads, a fork-context pipe for processes."""
+    def _make_queue(self, *, simple: bool = False):
+        """A queue workers of this pool flavor can reach: plain
+        in-process for threads, a fork-context pipe for processes.
+        The outcome queue needs ``get(timeout=...)`` (so the driver
+        can poll for dead workers), which the bus's SimpleQueue lacks."""
         if self.pool == "thread":
             return queue_module.Queue()
-        return multiprocessing.get_context("fork").SimpleQueue()
-
-    def _make_outcome_queue(self):
-        """The streaming outcome queue needs ``get(timeout=...)`` (so
-        the driver can poll for dead workers), which SimpleQueue lacks."""
-        if self.pool == "thread":
-            return queue_module.Queue()
-        return multiprocessing.get_context("fork").Queue()
-
-    def _run_shards(self, plan, shards, seed, telemetry_enabled,
-                    fault_payload, worker_ops=None,
-                    bus_queue=None) -> list[_ShardResult]:
-        global _FORK_STATE
-        if self.pool == "thread":
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                futures = [
-                    pool.submit(_replay_shard, plan, index, shard, seed,
-                                telemetry_enabled, fault_payload,
-                                worker_ops, bus_queue)
-                    for index, shard in enumerate(shards)]
-                return [future.result() for future in futures]
-        # Fork pool: workers inherit plan + shards copy-on-write, so
-        # nothing is rebuilt and only outcomes cross the process
-        # boundary.  Each worker replays against its own (inherited,
-        # fresh) honeypot fleet.
-        _FORK_STATE = {"plan": plan, "shards": shards, "seed": seed,
-                       "telemetry_enabled": telemetry_enabled,
-                       "fault_payload": fault_payload,
-                       "ops": worker_ops, "bus_queue": bus_queue}
-        try:
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(max_workers=self.workers,
-                                     mp_context=context) as pool:
-                futures = [pool.submit(_replay_shard_forked, index)
-                           for index in range(len(shards))]
-                try:
-                    return [future.result() for future in futures]
-                except BrokenProcessPool as error:
-                    raise WorkerLostError(
-                        "shard worker process died mid-replay") \
-                        from error
-        finally:
-            _FORK_STATE = None
+        context = multiprocessing.get_context("fork")
+        return context.SimpleQueue() if simple else context.Queue()
 
 
 def resolve_workers(requested: "int | str", *,

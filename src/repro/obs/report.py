@@ -10,7 +10,9 @@ peak RSS.  :func:`write_report` / :func:`load_report` round-trip it;
 from __future__ import annotations
 
 import json
+import os
 import sys
+import threading
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -33,12 +35,25 @@ def peak_rss_bytes() -> int | None:
 
 
 def write_report(manifest: dict, path: str | Path) -> Path:
-    """Serialize ``manifest`` to ``path`` as pretty-printed JSON."""
+    """Serialize ``manifest`` to ``path`` as pretty-printed JSON.
+
+    Atomic: the JSON goes to a temp file in the same directory, named
+    per process and thread (the live reporter and the driver may write
+    the same manifest concurrently), which then replaces ``path``.  A
+    crash mid-write leaves the previous manifest intact.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=False)
-        handle.write("\n")
+    tmp = path.with_name(
+        f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle, indent=2, sort_keys=False)
+            handle.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -156,14 +171,11 @@ def format_summary(manifest: dict) -> str:
                  shard.get("events", "?"),
                  f"{shard.get('wall_seconds', 0.0):.3f}"]
                 for shard in replay["shards"]]
-        table = _format_table(["shard", "visits", "events", "seconds"],
-                              rows)
-        merge = replay.get("merge_seconds")
-        if merge is not None:
-            table += f"\nmerge: {merge:.3f}s ({replay.get('pool', '?')} pool)"
         sections.append(
             f"replay ({replay.get('executor', '?')}, "
-            f"{replay.get('workers', '?')} workers)\n" + table)
+            f"{replay.get('workers', '?')} workers)\n"
+            + _format_table(["shard", "visits", "events", "seconds"],
+                            rows))
 
     resilience = manifest.get("resilience", {})
     if resilience:

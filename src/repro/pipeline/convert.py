@@ -6,25 +6,27 @@ database.  The paper chose SQLite "for convenience"; the analysis layer
 the traffic generator -- preserving the paper's separation between data
 collection and analysis.
 
-The conversion is streaming: ``events`` may be any iterable (including
-a queue-fed generator from a
-:class:`~repro.pipeline.sinks.SQLiteWriterSink`), consumed in chunks of
-:data:`CHUNK_ROWS` -- each chunk is enriched (one shared lookup cache
-across chunks), inserted via ``executemany`` in its own retried
+The conversion is streaming: one writer loop (:func:`convert_stream`)
+pulls event batches off a queue -- typically fed by a
+:class:`~repro.pipeline.sinks.SQLiteWriterSink` -- and consumes them in
+chunks of :data:`CHUNK_ROWS`: each chunk is enriched (one shared lookup
+cache across chunks), inserted via ``executemany`` in its own retried
 transaction, and released, so memory stays bounded by the chunk size
-rather than the run size.  The database is opened with write-oriented
-pragmas (in-memory journal, ``synchronous=OFF``); the file is private
-and rebuilt from scratch, so durability mid-conversion buys nothing.
+rather than the run size.  :func:`convert_to_sqlite` runs the same loop
+over any iterable.  By default the database is opened with
+write-oriented pragmas (in-memory journal, ``synchronous=OFF``); the
+file is private and rebuilt from scratch, so durability mid-conversion
+buys nothing.
 
-Checkpointed runs instead use :func:`convert_durable`, which trades the
-throw-away pragmas for WAL mode + ``synchronous=NORMAL`` and honors
+Checkpointed runs pass ``durable=True``, which trades the throw-away
+pragmas for WAL mode + ``synchronous=NORMAL`` and honors
 :class:`CommitRequest` barriers: flush the pending batch, ``COMMIT``,
 ``PRAGMA wal_checkpoint(TRUNCATE)``, and ``fsync`` the database file,
 then report ``(rows_written, chained row digest)`` back to the driver.
-The chained digest ``H_i = sha256(H_{i-1} || repr(row_i))`` is what
-``repro run --resume`` later recomputes over the on-disk prefix to
-prove the database really contains exactly the rows a checkpoint
-claims.
+The chained digest ``H_i = sha256(H_{i-1} || repr(row_i))`` (computed in
+durable mode only) is what ``repro run --resume`` later recomputes over
+the on-disk prefix to prove the database really contains exactly the
+rows a checkpoint claims.
 """
 
 from __future__ import annotations
@@ -202,15 +204,6 @@ class CommitRequest:
         self.digest = ""
 
 
-def _chunks(iterable: Iterable, size: int) -> Iterator[list]:
-    iterator = iter(iterable)
-    while True:
-        chunk = list(itertools.islice(iterator, size))
-        if not chunk:
-            return
-        yield chunk
-
-
 def convert_to_sqlite(events: Iterable[LogEvent], db_path: str | Path,
                       geoip: GeoIPDatabase,
                       scanners: InstitutionalScannerList | None = None,
@@ -221,81 +214,36 @@ def convert_to_sqlite(events: Iterable[LogEvent], db_path: str | Path,
     time (see module docstring).  An existing database at ``db_path``
     is replaced.  Returns the database path.
     """
-    telemetry = obs.current()
-    db_path = Path(db_path)
-    db_path.parent.mkdir(parents=True, exist_ok=True)
-    if db_path.exists():
-        db_path.unlink()
-    connection = sqlite3.connect(db_path)
-    enrich_seconds = 0.0
-    insert_seconds = 0.0
-    rows_written = 0
-    lookup_cache: dict = {}
-    scanners = scanners or InstitutionalScannerList()
-    retry_rng = random.Random(f"sqlite-retry:{db_path.name}")
-    try:
-        connection.executescript(_PRAGMAS + _SCHEMA)
-        for chunk in _chunks(events, chunk_rows):
-            with telemetry.tracer.span("convert.enrich", db=db_path.name):
-                start = time.perf_counter()
-                rows = _rows(chunk, geoip, scanners, lookup_cache)
-                enrich_seconds += time.perf_counter() - start
-            with telemetry.tracer.span("convert.insert", db=db_path.name):
-                start = time.perf_counter()
+    iterator = iter(events)
+    end = object()
 
-                def insert() -> None:
-                    # Transient lock (a concurrent writer, or the
-                    # injected `sqlite.locked` fault) must not abort a
-                    # whole replay: each chunk is one transaction,
-                    # rolled back and retried with exponential backoff.
-                    faults.current().maybe_raise(
-                        "sqlite.locked",
-                        lambda: sqlite3.OperationalError(
-                            "database is locked"))
-                    connection.executemany(_INSERT, rows)
-                    connection.commit()
+    def get() -> object:
+        return list(itertools.islice(iterator, chunk_rows)) or end
 
-                sqlite_busy_retry(
-                    insert, reset=connection.rollback,
-                    rng=retry_rng, db=db_path.name)
-                insert_seconds += time.perf_counter() - start
-            rows_written += len(rows)
-        with telemetry.tracer.span("convert.index", db=db_path.name):
-            start = time.perf_counter()
-            connection.executescript(_POST_INDEXES)
-            telemetry.metrics.observe("convert.index_seconds",
-                                      time.perf_counter() - start,
-                                      db=db_path.name)
-        telemetry.metrics.observe("convert.enrich_seconds",
-                                  enrich_seconds, db=db_path.name)
-        telemetry.metrics.observe("convert.insert_seconds",
-                                  insert_seconds, db=db_path.name)
-        telemetry.metrics.inc("convert.rows_written", rows_written,
-                              db=db_path.name)
-    finally:
-        connection.close()
-    return db_path
+    return convert_stream(get, db_path, geoip, scanners, sentinel=end,
+                          chunk_rows=chunk_rows)["path"]
 
 
-def convert_durable(get: Callable[[], object], db_path: str | Path,
-                    geoip: GeoIPDatabase,
-                    scanners: InstitutionalScannerList | None = None,
-                    *, sentinel: object,
-                    resume: tuple[int, str] | None = None,
-                    chunk_rows: int = CHUNK_ROWS) -> dict:
-    """Crash-consistent streaming conversion with commit barriers.
+def convert_stream(get: Callable[[], object], db_path: str | Path,
+                   geoip: GeoIPDatabase,
+                   scanners: InstitutionalScannerList | None = None,
+                   *, sentinel: object, durable: bool = False,
+                   resume: tuple[int, str] | None = None,
+                   chunk_rows: int = CHUNK_ROWS) -> dict:
+    """The writer loop: pull items from ``get()`` until ``sentinel``.
 
-    Pulls items from ``get()`` until ``sentinel``: :class:`LogEvent`
-    items are buffered and inserted in ``chunk_rows`` batches;
-    :class:`CommitRequest` items flush the partial batch and run the
-    durability barrier (COMMIT + ``wal_checkpoint(TRUNCATE)`` + fsync)
-    before acknowledging with the post-barrier row count and chain
-    digest.
+    Lists of :class:`LogEvent` are buffered and inserted in
+    ``chunk_rows`` batches.  ``durable`` selects the crash-consistent
+    mode: WAL pragmas, :class:`CommitRequest` barriers (flush the
+    partial batch, COMMIT + ``wal_checkpoint(TRUNCATE)`` + fsync, then
+    acknowledge with the post-barrier row count and chain digest), and
+    the chained row digest itself.
 
-    ``resume=(rows, digest_hex)`` reopens an existing database whose
-    committed prefix the caller has already validated and truncated;
-    otherwise any existing database is replaced.  Returns the final
-    state: ``{"path", "rows", "digest"}``.
+    ``resume=(rows, digest_hex)`` (durable only) reopens an existing
+    database whose committed prefix the caller has already validated
+    and truncated; otherwise any existing database is replaced.
+    Returns the final state: ``{"path", "rows", "digest"}`` (``digest``
+    is ``None`` unless durable).
     """
     telemetry = obs.current()
     db_path = Path(db_path)
@@ -303,8 +251,7 @@ def convert_durable(get: Callable[[], object], db_path: str | Path,
     if resume is None:
         for stale in (db_path, db_path.with_name(db_path.name + "-wal"),
                       db_path.with_name(db_path.name + "-shm")):
-            if stale.exists():
-                stale.unlink()
+            stale.unlink(missing_ok=True)
         rows_written, digest = 0, DIGEST_SEED
     else:
         rows_written, digest = resume[0], bytes.fromhex(resume[1])
@@ -318,36 +265,42 @@ def convert_durable(get: Callable[[], object], db_path: str | Path,
     retry_rng = random.Random(f"sqlite-retry:{db_path.name}")
     buffer: list[LogEvent] = []
 
-    def flush() -> None:
+    def write(chunk: list[LogEvent]) -> None:
         nonlocal enrich_seconds, insert_seconds, rows_written, digest
-        if not buffer:
-            return
         with telemetry.tracer.span("convert.enrich", db=db_path.name):
             start = time.perf_counter()
-            rows = _rows(buffer, geoip, scanners, lookup_cache)
+            rows = _rows(chunk, geoip, scanners, lookup_cache)
             enrich_seconds += time.perf_counter() - start
         with telemetry.tracer.span("convert.insert", db=db_path.name):
             start = time.perf_counter()
 
             def insert() -> None:
+                # Transient lock (a concurrent writer, or the injected
+                # `sqlite.locked` fault) must not abort a whole replay:
+                # each chunk is one transaction, rolled back and retried
+                # with exponential backoff.  Committing per chunk (cheap
+                # under WAL + synchronous=NORMAL -- no fsync until a
+                # barrier) means a retry's rollback can only ever
+                # discard this chunk, never one the digest chain covers.
                 faults.current().maybe_raise(
                     "sqlite.locked",
                     lambda: sqlite3.OperationalError(
                         "database is locked"))
                 connection.executemany(_INSERT, rows)
-                # Commit per batch (cheap under WAL + synchronous=NORMAL
-                # -- no fsync until a checkpoint barrier) so a retry's
-                # rollback can only ever discard this batch, never one
-                # the digest chain already covers.
                 connection.commit()
 
             sqlite_busy_retry(insert, reset=connection.rollback,
                               rng=retry_rng, db=db_path.name)
             insert_seconds += time.perf_counter() - start
-        for row in rows:
-            digest = chain_digest(digest, row)
+        if durable:
+            for row in rows:
+                digest = chain_digest(digest, row)
         rows_written += len(rows)
-        buffer.clear()
+
+    def flush() -> None:
+        if buffer:
+            write(buffer)
+            buffer.clear()
 
     def barrier() -> None:
         nonlocal barrier_count
@@ -365,22 +318,23 @@ def convert_durable(get: Callable[[], object], db_path: str | Path,
                                   db=db_path.name)
 
     try:
-        connection.executescript(_DURABLE_PRAGMAS + _SCHEMA)
-        connection.commit()
+        connection.executescript(
+            (_DURABLE_PRAGMAS if durable else _PRAGMAS) + _SCHEMA)
         while True:
             item = get()
             if item is sentinel:
                 break
-            if isinstance(item, CommitRequest):
+            if type(item) is CommitRequest:
                 flush()
                 barrier()
                 item.rows = rows_written
                 item.digest = digest.hex()
                 item.done.set()
                 continue
-            buffer.append(item)
-            if len(buffer) >= chunk_rows:
-                flush()
+            buffer.extend(item)
+            while len(buffer) >= chunk_rows:
+                write(buffer[:chunk_rows])
+                del buffer[:chunk_rows]
         flush()
         with telemetry.tracer.span("convert.index", db=db_path.name):
             start = time.perf_counter()
@@ -388,18 +342,21 @@ def convert_durable(get: Callable[[], object], db_path: str | Path,
             telemetry.metrics.observe("convert.index_seconds",
                                       time.perf_counter() - start,
                                       db=db_path.name)
-        barrier()
+        if durable:
+            barrier()
         telemetry.metrics.observe("convert.enrich_seconds",
                                   enrich_seconds, db=db_path.name)
         telemetry.metrics.observe("convert.insert_seconds",
                                   insert_seconds, db=db_path.name)
         telemetry.metrics.inc("convert.rows_written",
                               rows_written - resumed_at, db=db_path.name)
-        telemetry.metrics.inc("checkpoint.db_barriers", barrier_count,
-                              db=db_path.name)
+        if durable:
+            telemetry.metrics.inc("checkpoint.db_barriers", barrier_count,
+                                  db=db_path.name)
     finally:
         connection.close()
-    return {"path": db_path, "rows": rows_written, "digest": digest.hex()}
+    return {"path": db_path, "rows": rows_written,
+            "digest": digest.hex() if durable else None}
 
 
 def _row(enriched: EnrichedEvent) -> tuple:

@@ -18,18 +18,18 @@ contract honeypot sessions already emit into), optionally with a
         RawLogSink("raw-logs/"),             # consolidated JSONL
     )
 
-:class:`SQLiteWriterSink` hands its events to a dedicated writer
-thread running the chunked :func:`~repro.pipeline.convert.convert_to_sqlite`,
+:class:`SQLiteWriterSink` hands its events, in batches, to a dedicated
+writer thread running :func:`~repro.pipeline.convert.convert_stream`,
 so the low and medium/high conversions proceed concurrently while the
 replay engine is still producing events.
 
 Checkpointed runs construct the writer sinks with ``durable=True``:
-the writer thread runs :func:`~repro.pipeline.convert.convert_durable`
-instead, and the driver's :meth:`SQLiteWriterSink.commit` barrier
-blocks until every event handed to the sink so far is fsync-durable on
-disk, returning the committed ``(rows, digest)`` state recorded in the
-run journal.  ``resume=(rows, digest_hex)`` re-opens a validated
-database instead of replacing it.
+the same writer loop then runs in its crash-consistent mode, and the
+driver's :meth:`SQLiteWriterSink.commit` barrier blocks until every
+event handed to the sink so far is fsync-durable on disk, returning
+the committed ``(rows, digest)`` state recorded in the run journal.
+``resume=(rows, digest_hex)`` re-opens a validated database instead of
+replacing it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import contextvars
 import os
 import queue
 import threading
-from collections import Counter, deque
+from collections import Counter
 from pathlib import Path
 from typing import Iterator, Protocol, runtime_checkable
 
@@ -64,6 +64,17 @@ def close_sink(sink: object) -> object:
     return close() if callable(close) else None
 
 
+def _feed(sink: EventSinkProtocol, events: list[LogEvent]) -> None:
+    """Hand a batch to ``sink``: one ``many`` call where the sink has
+    one (one dispatch per batch instead of per event), else per event."""
+    batched = getattr(sink, "many", None)
+    if batched is not None:
+        batched(events)
+    else:
+        for event in events:
+            sink(event)
+
+
 class TeeSink:
     """Fans every event out to each child sink, in order."""
 
@@ -75,19 +86,9 @@ class TeeSink:
             sink(event)
 
     def many(self, events: list[LogEvent]) -> None:
-        """Fan a pre-collected batch out to each child, in order.
-
-        Children exposing a ``many`` method get the whole list in one
-        call (one dispatch per batch instead of per event); plain
-        callables fall back to the per-event loop.
-        """
+        """Fan a pre-collected batch out to each child, in order."""
         for sink in self.sinks:
-            batched = getattr(sink, "many", None)
-            if batched is not None:
-                batched(events)
-            else:
-                for event in events:
-                    sink(event)
+            _feed(sink, events)
 
     def close(self) -> None:
         for sink in self.sinks:
@@ -124,19 +125,10 @@ class TierSplitSink:
             midhigh = events
         if low:
             self.low_count += len(low)
-            self._feed(self.low, low)
+            _feed(self.low, low)
         if midhigh:
             self.midhigh_count += len(midhigh)
-            self._feed(self.midhigh, midhigh)
-
-    @staticmethod
-    def _feed(sink: EventSinkProtocol, events: list[LogEvent]) -> None:
-        batched = getattr(sink, "many", None)
-        if batched is not None:
-            batched(events)
-        else:
-            for event in events:
-                sink(event)
+            _feed(self.midhigh, midhigh)
 
     def close(self) -> None:
         # Close both sides even when one fails, so a low-tier writer
@@ -265,8 +257,9 @@ class SQLiteWriterSink:
 
     The writer thread (started lazily on the first event, so a sharded
     driver can still fork cleanly before any event flows) drains an
-    unbounded queue through
-    :func:`~repro.pipeline.convert.convert_to_sqlite`; :meth:`close`
+    unbounded queue of event batches, commit tokens and the
+    end-of-stream sentinel through
+    :func:`~repro.pipeline.convert.convert_stream`; :meth:`close`
     sends the end-of-stream sentinel, joins the thread, and re-raises
     any conversion failure in the caller.  Two writer sinks -- one per
     tier -- is what lets both database conversions run concurrently
@@ -293,7 +286,6 @@ class SQLiteWriterSink:
         self._resume = resume
         self._queue: queue.SimpleQueue = queue.SimpleQueue()
         self._pending: list[LogEvent] = []
-        self._backlog: deque = deque()
         self._thread: threading.Thread | None = None
         self._error: BaseException | None = None
         self.path: Path | None = None
@@ -316,27 +308,21 @@ class SQLiteWriterSink:
                                   db=self.db_path.name,
                                   durable=self._durable)
 
-    def __call__(self, event: LogEvent) -> None:
+    def _check_alive(self) -> None:
+        # Fail fast: keeping the replay running while the writer is
+        # dead would silently drop every subsequent event.
         if self._error is not None:
-            # Fail fast: keeping the replay running while the writer is
-            # dead would silently drop every subsequent event.
             raise RuntimeError(
                 f"sqlite writer for {self.db_path.name} already "
                 f"failed") from self._error
-        self._ensure_thread()
-        pending = self._pending
-        pending.append(event)
-        if len(pending) >= self.BATCH:
-            self._queue.put(pending)
-            self._pending = []
+
+    def __call__(self, event: LogEvent) -> None:
+        self.many([event])
 
     def many(self, events: list[LogEvent]) -> None:
-        """Accept a pre-collected batch (same semantics as ``__call__``
-        once per event, minus the per-event dispatch)."""
-        if self._error is not None:
-            raise RuntimeError(
-                f"sqlite writer for {self.db_path.name} already "
-                f"failed") from self._error
+        """Accept a batch, handed to the writer thread every
+        :attr:`BATCH` events."""
+        self._check_alive()
         self._ensure_thread()
         pending = self._pending
         pending.extend(events)
@@ -350,46 +336,18 @@ class SQLiteWriterSink:
             self._queue.put(self._pending)
             self._pending = []
 
-    def _get_unbatched(self):
-        """A ``get()`` for :func:`convert_durable` that unpacks event
-        batches back into single items (sentinels and commit tokens
-        ride the queue unbatched)."""
-        backlog = self._backlog
-        if backlog:
-            return backlog.popleft()
-        item = self._queue.get()
-        if type(item) is list:
-            backlog.extend(item)
-            return backlog.popleft()
-        return item
-
-    def _drain(self) -> Iterator[LogEvent]:
-        while True:
-            item = self._queue.get()
-            if item is self._SENTINEL:
-                return
-            if type(item) is list:
-                yield from item
-            else:
-                yield item
-
     def _run(self) -> None:
-        from repro.pipeline.convert import convert_durable, \
-            convert_to_sqlite
+        from repro.pipeline.convert import convert_stream
 
         try:
+            state = convert_stream(
+                self._queue.get, self.db_path, self._geoip,
+                self._scanners, sentinel=self._SENTINEL,
+                durable=self._durable, resume=self._resume)
             if self._durable:
-                state = convert_durable(
-                    self._get_unbatched, self.db_path, self._geoip,
-                    self._scanners, sentinel=self._SENTINEL,
-                    resume=self._resume)
                 self.committed_state = {"rows": state["rows"],
                                         "digest": state["digest"]}
-                self.path = state["path"]
-            else:
-                self.path = convert_to_sqlite(
-                    self._drain(), self.db_path, self._geoip,
-                    self._scanners)
+            self.path = state["path"]
         except BaseException as error:  # re-raised by close()/commit()
             self._error = error
 
@@ -406,10 +364,7 @@ class SQLiteWriterSink:
 
         if not self._durable:
             raise RuntimeError("commit() requires durable=True")
-        if self._error is not None:
-            raise RuntimeError(
-                f"sqlite writer for {self.db_path.name} already "
-                f"failed") from self._error
+        self._check_alive()
         if self._thread is None:
             rows, digest = self._resume or (0, DIGEST_SEED.hex())
             return {"rows": rows, "digest": digest}
@@ -443,20 +398,9 @@ class SQLiteWriterSink:
             raise self._error
         if self.path is not None and self._thread is None:
             return self.path
-        if self._thread is None:
-            if self._durable:
-                # Resume bookkeeping (post-indexes, final barrier) must
-                # still run even when no new events arrived.
-                self._ensure_thread()
-            else:
-                # No events ever arrived: still produce the (empty)
-                # database.
-                from repro.pipeline.convert import convert_to_sqlite
-
-                self.path = convert_to_sqlite([], self.db_path,
-                                              self._geoip,
-                                              self._scanners)
-                return self.path
+        # With no events so far, the writer still runs: it produces the
+        # (empty) database, or a resume's post-indexes and final barrier.
+        self._ensure_thread()
         self._flush_pending()
         self._queue.put(self._SENTINEL)
         self._thread.join()

@@ -153,6 +153,27 @@ class DifferentialReport:
                 "ok": self.ok}
 
 
+def _engine_diffs(name: str, output_dir: Path, *, pool: str,
+                  workers: int) -> list[dict]:
+    """Flag a sharded config whose manifest reports another engine.
+
+    The artifact diff alone cannot tell: a config that silently fell
+    back to serial replay would pass by matching the serial reference.
+    """
+    replay = obs_report.load_report(
+        output_dir / obs_report.REPORT_FILENAME).get("replay") or {}
+    expected = {"executor": "sharded", "pool": pool,
+                "workers": workers, "shards": workers}
+    actual = {"executor": replay.get("executor"),
+              "pool": replay.get("pool"),
+              "workers": replay.get("workers"),
+              "shards": len(replay.get("shards") or ())}
+    if actual == expected:
+        return []
+    return [{"config": name, "artifact": "manifest.replay",
+             "expected": expected, "actual": actual}]
+
+
 def _base_config(output_dir: Path, seed: int, scale: float,
                  **overrides) -> ExperimentConfig:
     defaults = dict(seed=seed, volume_scale=scale,
@@ -280,6 +301,8 @@ def run_matrix(workdir: str | Path, *, seed: int, scale: float,
             summary = run_one(name, workers=workers,
                               executor="sharded", pool="thread")
             report.diffs += _diff_summaries(name, reference, summary)
+            report.diffs += _engine_diffs(name, workdir / name,
+                                          pool="thread", workers=workers)
         elif name == "fork":
             if not _fork_available():
                 skip(name, "fork start method unavailable")
@@ -287,6 +310,8 @@ def run_matrix(workdir: str | Path, *, seed: int, scale: float,
             summary = run_one(name, workers=workers,
                               executor="sharded", pool="fork")
             report.diffs += _diff_summaries(name, reference, summary)
+            report.diffs += _engine_diffs(name, workdir / name,
+                                          pool="fork", workers=workers)
         elif name == "telemetry-off":
             summary = run_one(name, workers=1, telemetry=False)
             report.diffs += _diff_summaries(name, reference, summary,
@@ -310,6 +335,9 @@ def run_matrix(workdir: str | Path, *, seed: int, scale: float,
                 fault_plan=faults.load_plan(CHAOS_PLAN, seed=seed))
             report.diffs += _diff_summaries(
                 "chaos-sharded", chaos_reference, chaos_sharded)
+            report.diffs += _engine_diffs(
+                "chaos-sharded", workdir / "chaos-sharded",
+                pool="thread", workers=workers)
 
     _localize(report, summaries, seed=seed, scale=scale,
               workers=workers)

@@ -2,6 +2,7 @@
 timers, manifest round-trip, and the instrumented experiment driver."""
 
 import json
+import sys
 import threading
 from pathlib import Path
 
@@ -272,6 +273,55 @@ class TestManifest:
         manifest = self.make_manifest()
         path = obs_report.write_report(manifest, tmp_path / "r.json")
         assert obs_report.load_report(path) == manifest
+
+    def test_write_is_atomic(self, tmp_path, monkeypatch):
+        # A write that dies part-way leaves the previous manifest
+        # intact and no temp file behind.
+        path = obs_report.write_report(self.make_manifest(),
+                                       tmp_path / "r.json")
+
+        def torn_dump(obj, handle, **kwargs):
+            handle.write('{"schema": "repro.run_rep')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(obs_report.json, "dump", torn_dump)
+        with pytest.raises(OSError, match="disk full"):
+            obs_report.write_report({"schema": obs_report.SCHEMA},
+                                    path)
+        assert obs_report.load_report(path) == self.make_manifest()
+        assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
+    def test_concurrent_writers_never_tear(self, tmp_path):
+        # The live reporter and the driver may write the same manifest
+        # from two threads: their temp files must not collide.
+        path = tmp_path / "r.json"
+        errors = []
+
+        def writer(tag: int) -> None:
+            try:
+                for index in range(50):
+                    obs_report.write_report(
+                        {"schema": obs_report.SCHEMA, "tag": tag,
+                         "index": index}, path)
+                    obs_report.load_report(path)
+            except Exception as error:  # surfaced below
+                errors.append(error)
+
+        threads = [threading.Thread(target=writer, args=(tag,))
+                   for tag in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert obs_report.load_report(path)["index"] == 49
+        assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
 
     def test_load_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "other.json"

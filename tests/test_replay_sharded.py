@@ -9,7 +9,13 @@ guarantee rests on.
 """
 
 import hashlib
+import os
+import signal
 import sqlite3
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -17,13 +23,22 @@ from repro import obs
 from repro.agents.population import build_world
 from repro.deployment import ExperimentConfig, run_experiment
 from repro.deployment.plan import build_plan
-from repro.deployment.replay import (SerialExecutor, ShardedExecutor,
-                                     build_engine, compile_visits,
-                                     shard_of)
+from repro.deployment.replay import (OpsOptions, SerialExecutor,
+                                     ShardedExecutor, build_engine,
+                                     compile_visits, shard_of)
 from repro.resilience import faults
 
 SCALE = 0.0002
 SEED = 2024
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def fresh_schedule():
+    """A new plan and its compiled schedule (honeypots mutate during
+    replay, so every engine run needs its own)."""
+    plan = build_plan(seed=SEED)
+    world = build_world(seed=SEED, volume_scale=0.0001)
+    return plan, compile_visits(world, plan, SEED)
 
 
 def table_digests(db_path) -> dict[str, str]:
@@ -119,17 +134,10 @@ class TestOutcomeStreamEquality:
         # must equal serial replay outcome-for-outcome, events included
         # (LogEvent is a frozen dataclass, so == is full field equality).
         telemetry = obs.NULL_TELEMETRY
-
-        # Fresh plan/world per run: honeypots mutate during replay.
-        def fresh():
-            plan = build_plan(seed=SEED)
-            world = build_world(seed=SEED, volume_scale=0.0001)
-            return plan, compile_visits(world, plan, SEED)
-
-        plan, schedule = fresh()
+        plan, schedule = fresh_schedule()
         reference = list(SerialExecutor().replay(schedule, plan, SEED,
                                                  telemetry))
-        plan, schedule = fresh()
+        plan, schedule = fresh_schedule()
         merged = list(ShardedExecutor(2, pool="thread").replay(
             schedule, plan, SEED, telemetry))
 
@@ -138,6 +146,104 @@ class TestOutcomeStreamEquality:
         assert ([(o.bytes_in, o.bytes_out, o.failure) for o in merged]
                 == [(o.bytes_in, o.bytes_out, o.failure)
                     for o in reference])
+
+
+class TestFastForward:
+    def test_watermark_resume_matches_unresumed_suffix(self):
+        # Engine-level resume: visits at or below a mid-schedule
+        # watermark fast-forward (committed, events stripped, counts
+        # kept); the live suffix must equal an unresumed replay's.
+        telemetry = obs.NULL_TELEMETRY
+        plan, schedule = fresh_schedule()
+        reference = list(SerialExecutor().replay(schedule, plan, SEED,
+                                                 telemetry))
+        watermark = reference[len(reference) // 2].key
+        expected_suffix = [(o.events, o.bytes_in, o.bytes_out, o.failure)
+                           for o in reference if o.key > watermark]
+        assert expected_suffix and any(o.events for o in reference
+                                       if o.key <= watermark)
+
+        for engine in (SerialExecutor(), ShardedExecutor(2, pool="thread")):
+            plan, schedule = fresh_schedule()
+            outcomes = list(engine.replay(
+                schedule, plan, SEED, telemetry,
+                OpsOptions(watermark=watermark)))
+            assert [o.key for o in outcomes] == [o.key for o in reference]
+            assert ([o.committed for o in outcomes]
+                    == [o.key <= watermark for o in reference])
+            assert ([o.event_total() for o in outcomes]
+                    == [o.event_total() for o in reference])
+            assert all(o.events == [] for o in outcomes if o.committed)
+            assert [(o.events, o.bytes_in, o.bytes_out, o.failure)
+                    for o in outcomes if not o.committed] \
+                == expected_suffix
+
+
+#: A fork-pool checkpointed run whose driver fails on the 50th sink
+#: batch, while both workers are still streaming outcomes.
+_DRIVER_FAILURE = """
+import sys
+from repro.deployment import ExperimentConfig, run_experiment
+from repro.pipeline.sinks import TeeSink
+
+many = TeeSink.many
+calls = 0
+
+def failing_many(self, events):
+    global calls
+    calls += 1
+    if calls == 50:
+        raise RuntimeError("injected driver-side failure")
+    many(self, events)
+
+TeeSink.many = failing_many
+run_experiment(ExperimentConfig(
+    seed=2024, volume_scale=2e-5, output_dir=sys.argv[1], workers=2,
+    executor="sharded", pool="fork", checkpoint_interval=1.0))
+"""
+
+
+def _group_members(pgid: int) -> list[int]:
+    """Live (non-zombie) processes in process group ``pgid``."""
+    members = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[2]) == pgid and fields[0] != "Z":
+            members.append(int(stat.parent.name))
+    return members
+
+
+class TestEarlyExit:
+    @pytest.mark.skipif(
+        "fork" not in __import__("multiprocessing").get_all_start_methods()
+        or not Path("/proc/self/stat").exists(),
+        reason="needs the fork start method and /proc")
+    def test_driver_error_in_fork_pool_exits(self, tmp_path):
+        # The driver stops reading the outcome queue mid-run; the run
+        # must still fail promptly and take its workers with it.
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _DRIVER_FAILURE, str(tmp_path)],
+            env=env, cwd=REPO_ROOT, stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE, start_new_session=True)
+        try:
+            _, stderr = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("run hung after a driver-side error")
+        assert proc.returncode != 0
+        assert b"injected driver-side failure" in stderr
+        deadline = time.monotonic() + 5.0
+        while _group_members(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        leftover = _group_members(proc.pid)
+        for pid in leftover:
+            os.kill(pid, signal.SIGKILL)
+        assert leftover == []
 
 
 class TestExperimentEquality:

@@ -1,5 +1,7 @@
 """Tests for the composable event-sink pipeline."""
 
+import sqlite3
+
 import pytest
 
 from repro.netsim.address_space import AddressSpace
@@ -157,3 +159,50 @@ class TestSQLiteWriterSink:
         # silently pretending the data was written.
         with pytest.raises(Exception):
             sink.close()
+
+
+class TestWriterParity:
+    """Plain and durable writer sinks run one writer loop: same chunk
+    boundaries, same rows; only the durable one chains a digest."""
+
+    def run_sink(self, tmp_path, world, events, *, durable):
+        from repro.resilience import faults
+
+        geoip, scanners, _ip = world
+        plan = faults.load_plan("sqlite-lock")
+        name = "durable" if durable else "plain"
+        with faults.install(plan):
+            sink = SQLiteWriterSink(tmp_path / f"{name}.sqlite", geoip,
+                                    scanners, durable=durable)
+            for start in range(0, len(events), 1000):
+                sink.many(events[start:start + 1000])
+            path = sink.close()
+        with sqlite3.connect(path) as connection:
+            rows = connection.execute(
+                "SELECT * FROM events ORDER BY id").fetchall()
+        return sink, rows, plan.snapshot()["sqlite.locked"]
+
+    def test_plain_and_durable_agree(self, tmp_path, world):
+        from repro.pipeline.convert import CHUNK_ROWS, prefix_digest
+
+        _geoip, _scanners, ip = world
+        count = 2 * CHUNK_ROWS + 100
+        events = [make_event(src_ip=ip, src_port=1024 + index % 60000,
+                             timestamp=1711065600.0 + index,
+                             interaction=("low", "high")[index % 2])
+                  for index in range(count)]
+        plain, plain_rows, plain_locked = self.run_sink(
+            tmp_path, world, events, durable=False)
+        durable, durable_rows, durable_locked = self.run_sink(
+            tmp_path, world, events, durable=True)
+
+        assert len(plain_rows) == count
+        assert plain_rows == durable_rows
+        # Three chunks (CHUNK_ROWS, CHUNK_ROWS, 100) plus the two
+        # injected lock retries.
+        assert plain_locked == durable_locked == {"evaluations": 5,
+                                                  "fires": 2}
+        assert plain.committed_state is None
+        assert durable.committed_state == {
+            "rows": count,
+            "digest": prefix_digest(durable.path, count)}

@@ -20,11 +20,13 @@ from pathlib import Path
 import pytest
 
 from repro.deployment import ExperimentConfig, run_experiment
+from repro.obs import report as obs_report
 from repro.resilience import faults
 from repro.runtime import journal as run_journal
 from repro.runtime.journal import journal_path
 from repro.verify import (AuditError, audit_run, locate_divergence,
                           run_matrix)
+from repro.verify.differential import _engine_diffs
 
 SEED = 2024
 SCALE = 0.0001
@@ -291,6 +293,26 @@ class TestDifferential:
         assert report.diffs == []
         assert report.divergences == []
         assert [c["status"] for c in report.configs] == ["ran", "ran"]
+
+    def test_engine_check_flags_serial_fallback(self, tmp_path):
+        # A sharded config that replayed serially would match the
+        # serial reference artifact for artifact; only the manifest's
+        # engine section tells.
+        obs_report.write_report(
+            {"schema": obs_report.SCHEMA,
+             "replay": {"executor": "serial", "workers": 1}},
+            tmp_path / MANIFEST)
+        diffs = _engine_diffs("fork", tmp_path, pool="fork", workers=4)
+        assert [diff["artifact"] for diff in diffs] == ["manifest.replay"]
+        assert diffs[0]["actual"] == {"executor": "serial", "pool": None,
+                                      "workers": 1, "shards": 0}
+        obs_report.write_report(
+            {"schema": obs_report.SCHEMA,
+             "replay": {"executor": "sharded", "pool": "fork",
+                        "workers": 4, "shards": [{}] * 4}},
+            tmp_path / MANIFEST)
+        assert _engine_diffs("fork", tmp_path, pool="fork",
+                             workers=4) == []
 
     def test_bisector_localizes_order_sensitive_plan(self):
         # Plan "all" contains unkeyed (order-sensitive) sites, which the
