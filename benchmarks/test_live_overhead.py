@@ -1,10 +1,11 @@
-"""Live-telemetry overhead: sharded replay with the metrics bus off vs on.
+"""Live-telemetry overhead: sharded replay with metric deltas off vs on.
 
 The live operations plane must be observationally free (same events,
-asserted below) and cheap: the per-visit cost is one clock read, and
-each emission is one registry snapshot + delta + queue put.  This bench
-times the same 4-worker replay twice -- without ops wiring and with a
-0.1s streaming interval -- and snapshots the wall-time ratio to
+asserted below) and cheap: a worker takes at most one registry
+snapshot + delta per interval, and the delta rides the outcome batch
+it was going to send anyway; the driver folds it on its merge loop.
+This bench times the same 4-worker replay twice -- without ops wiring
+and with a 0.1s delta interval -- and snapshots the wall-time ratio to
 ``BENCH_live.json`` so regressions in the hot path show up as a ratio
 drift.
 """

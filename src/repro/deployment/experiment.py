@@ -70,6 +70,10 @@ OPS_LOG_FILENAME = "ops.jsonl"
 #: the run dies; replay workers write ``flight_shard<k>.jsonl``).
 FLIGHT_FILENAME = "flight_driver.jsonl"
 
+#: Seconds between ``live:`` progress lines and partial-manifest
+#: refreshes of a live run (checkpoints refresh the manifest too).
+_LIVE_REPORT_SECONDS = 1.0
+
 _DONE = object()
 
 
@@ -104,8 +108,9 @@ class ExperimentConfig:
     #: thread otherwise), ``"fork"``, or ``"thread"``.  Ignored by the
     #: serial engine.
     pool: str = "auto"
-    #: Seconds between live shard-telemetry emissions (0 disables the
-    #: metrics bus; requires telemetry and a sharded replay to matter).
+    #: Minimum seconds between live shard metric deltas (0 disables
+    #: live telemetry; requires telemetry and a sharded replay to
+    #: matter).
     live_interval: float = 0.0
     #: Serve ``/metrics`` + ``/healthz`` on this loopback port for the
     #: duration of the run (requires telemetry; implies a default
@@ -293,7 +298,7 @@ def _run_instrumented(config: ExperimentConfig, telemetry: obs.Telemetry,
                                 output_dir, resume_state)
 
     # -- live operations plane -----------------------------------------
-    # The bus interval: an explicit config wins; exposing a port
+    # The delta interval: an explicit config wins; exposing a port
     # implies a default cadence so /metrics is never a whole-run
     # staleness window behind.
     live_interval = config.live_interval
@@ -301,13 +306,8 @@ def _run_instrumented(config: ExperimentConfig, telemetry: obs.Telemetry,
         live_interval = 0.5
     live_on = telemetry.enabled and live_interval > 0 and engine.workers > 1
     aggregator = obs_live.LiveAggregator() if live_on else None
-    reporter = None
-    if live_on:
-        reporter = _LiveReporter(output_dir / obs_report.REPORT_FILENAME,
-                                 run_id, visits_total, engine.workers)
     ops = OpsOptions(
-        live=live_on, emit_interval=live_interval,
-        aggregator=aggregator, on_message=reporter,
+        live=live_on, emit_interval=live_interval, aggregator=aggregator,
         trace_shards=config.trace_out is not None,
         flight_dir=output_dir if telemetry.enabled else None,
         run_id=run_id,
@@ -327,7 +327,7 @@ def _run_instrumented(config: ExperimentConfig, telemetry: obs.Telemetry,
     try:
         return _run_replay(config, telemetry, run_id, plan, world,
                            schedule, engine, ops, output_dir,
-                           wall_start, live_server, reporter,
+                           wall_start, live_server,
                            journal=journal, resume_state=resume_state)
     finally:
         if live_server is not None:
@@ -340,7 +340,7 @@ def _run_replay(config: ExperimentConfig, telemetry: obs.Telemetry,
                 run_id: str, plan: DeploymentPlan, world: World,
                 schedule, engine: ReplayEngine, ops: OpsOptions,
                 output_dir: Path, wall_start: float,
-                live_server, reporter, journal=None,
+                live_server, journal=None,
                 resume_state: ResumeState | None = None
                 ) -> ExperimentResult:
     phases = telemetry.phases
@@ -398,6 +398,7 @@ def _run_replay(config: ExperimentConfig, telemetry: obs.Telemetry,
         output_dir / QUARANTINE_FILENAME,
         resume=resume_state.dead_letter if resuming else None)
     metrics = telemetry.metrics
+    aggregator = ops.aggregator
     bytes_in = 0
     bytes_out = 0
     events_generated = 0
@@ -405,6 +406,17 @@ def _run_replay(config: ExperimentConfig, telemetry: obs.Telemetry,
     quarantined_visits = 0
     visits_done = 0
     fast_forwarded = 0
+    progress_lines = partial_snapshots = 0
+    next_live_report = 0.0  # the first one is due at once
+
+    def print_progress() -> None:
+        # stderr: stdout stays byte-stable for scripts.
+        nonlocal progress_lines
+        print(f"live: {visits_done:,}/{visits_total:,} visits  "
+              f"{events_generated:,} events  "
+              f"{aggregator.progress()['shards_done']}/{engine.workers} "
+              f"shards done", file=sys.stderr)
+        progress_lines += 1
 
     checkpointer = None
     if durable:
@@ -422,7 +434,6 @@ def _run_replay(config: ExperimentConfig, telemetry: obs.Telemetry,
     stream = iter(engine.replay(schedule, plan, config.seed, telemetry,
                                 ops))
     last_key = None
-    pending_live = False
     # Live events accumulate driver-side and enter the pipeline in
     # batches: one `pipeline.many()` per ~1k events instead of one
     # Python call chain per event.  Durable runs flush every visit so
@@ -470,18 +481,25 @@ def _run_replay(config: ExperimentConfig, telemetry: obs.Telemetry,
                     event_batch.clear()
                 now = time.perf_counter()
                 phases.add("split", now - mark)
-            pending_live = True
-            if checkpointer is not None:
-                if checkpointer.maybe_checkpoint(
-                        watermark=last_key, visits_done=visits_done,
-                        counters=_loop_counters(
-                            events_generated, events_quarantined,
-                            quarantined_visits, bytes_in, bytes_out)):
-                    pending_live = False
-                    _write_partial_report(
-                        config, output_dir, run_id, visits_total,
-                        visits_done, events_generated,
-                        events_quarantined, checkpointer, journal)
+            checkpointed = checkpointer is not None and \
+                checkpointer.maybe_checkpoint(
+                    watermark=last_key, visits_done=visits_done,
+                    counters=_loop_counters(
+                        events_generated, events_quarantined,
+                        quarantined_visits, bytes_in, bytes_out))
+            live_due = aggregator is not None and now >= next_live_report
+            if live_due:
+                next_live_report = now + _LIVE_REPORT_SECONDS
+                print_progress()
+            if checkpointed or live_due:
+                _write_partial_report(
+                    config, output_dir, run_id, visits_total,
+                    {"visits": visits_done,
+                     "events_generated": events_generated,
+                     "events_quarantined": events_quarantined},
+                    _checkpoint_info(config, checkpointer, resume_state,
+                                     fast_forwarded), aggregator)
+                partial_snapshots += 1
             mark = time.perf_counter()
     except BaseException:
         # Stop the engine's workers before anything else: a sharded
@@ -507,6 +525,8 @@ def _run_replay(config: ExperimentConfig, telemetry: obs.Telemetry,
         pipeline.many(event_batch)
         event_batch.clear()
         phases.add("split", time.perf_counter() - start)
+    if aggregator is not None:
+        print_progress()
     dead_letters.close()
 
     raw_log_dir = None
@@ -570,10 +590,13 @@ def _run_replay(config: ExperimentConfig, telemetry: obs.Telemetry,
                          bytes_io={"in": bytes_in, "out": bytes_out},
                          wall_time=wall_time, output_dir=output_dir,
                          run_id=run_id, live_server=live_server,
-                         reporter=reporter,
+                         live_reports=(
+                             {"progress_lines": progress_lines,
+                              "partial_snapshots": partial_snapshots}
+                             if aggregator is not None else None),
                          checkpoint_info=_checkpoint_info(
                              config, checkpointer, resume_state,
-                             fast_forwarded, result))
+                             fast_forwarded))
     elif checkpointer is not None:
         _drop_partial_report(output_dir)
     return result
@@ -591,17 +614,16 @@ def _loop_counters(events_generated: int, events_quarantined: int,
 
 def _checkpoint_info(config: ExperimentConfig, checkpointer,
                      resume_state: ResumeState | None,
-                     fast_forwarded: int,
-                     result: ExperimentResult) -> dict | None:
-    """The manifest's ``checkpoint`` section (checkpointed runs only)."""
+                     fast_forwarded: int) -> dict | None:
+    """The manifest's ``checkpoint`` section (checkpointed runs only),
+    in the partial and the final manifest alike."""
     if checkpointer is None:
         return None
     info = {
         "interval_seconds": config.checkpoint_interval,
         "count": checkpointer.count,
         "barrier_seconds": checkpointer.barrier_seconds,
-        "journal": (str(result.journal_path)
-                    if result.journal_path else None),
+        "journal": str(checkpointer.journal.path),
         "resume": None,
     }
     if resume_state is not None:
@@ -639,90 +661,62 @@ def _run_health(run_id: str, visits_total: int, engine: ReplayEngine,
     return health
 
 
-class _LiveReporter:
-    """Bus callback: progress lines + incremental manifest snapshots.
-
-    Runs on the bus drainer thread.  Progress goes to stderr (stdout
-    stays byte-stable for scripts); the partial ``run_report.json``
-    carries ``"partial": true`` plus the live aggregate so an operator
-    -- or ``repro stats`` after a crash -- sees how far the run got.
-    The final manifest overwrites it on clean completion.
-    """
-
-    def __init__(self, path: Path, run_id: str, visits_total: int,
-                 workers: int, *, stream=None,
-                 line_interval: float = 1.0,
-                 snapshot_interval: float = 2.0,
-                 clock=time.perf_counter):
-        self.path = path
-        self.run_id = run_id
-        self.visits_total = visits_total
-        self.workers = workers
-        self.lines = 0
-        self.snapshots = 0
-        self._stream = stream if stream is not None else sys.stderr
-        self._line_interval = line_interval
-        self._snapshot_interval = snapshot_interval
-        self._clock = clock
-        self._last_line = -line_interval
-        self._last_snapshot = -snapshot_interval
-
-    def __call__(self, aggregator, message: dict) -> None:
-        now = self._clock()
-        done = bool(message.get("done"))
-        if done or now - self._last_line >= self._line_interval:
-            progress = aggregator.progress()
-            print(f"live: {progress['visits']:,}/"
-                  f"{self.visits_total:,} visits  "
-                  f"{progress['events']:,} events  "
-                  f"{progress['shards_done']}/{self.workers} "
-                  f"shards done", file=self._stream)
-            self._last_line = now
-            self.lines += 1
-        if done or now - self._last_snapshot >= self._snapshot_interval:
-            obs_report.write_report({
-                "schema": obs_report.SCHEMA,
-                "partial": True,
-                "run_id": self.run_id,
-                "generated_at": obs_report.utc_now_iso(),
-                "visits_total": self.visits_total,
-                "progress": aggregator.progress(),
-                "metrics": aggregator.snapshot(),
-            }, self.path)
-            self._last_snapshot = now
-            self.snapshots += 1
+def _config_echo(config: ExperimentConfig) -> dict:
+    """The ``config`` section of the partial and the final manifest."""
+    return {
+        "seed": config.seed,
+        "volume_scale": config.volume_scale,
+        "output_dir": str(config.output_dir),
+        "write_raw_logs": config.write_raw_logs,
+        "export_dataset": config.export_dataset,
+        "telemetry": config.telemetry,
+        "trace_out": (str(config.trace_out)
+                      if config.trace_out else None),
+        "fault_plan": (config.fault_plan.name
+                       if config.fault_plan else None),
+        "workers": config.workers,
+        "executor": config.executor,
+        "pool": config.pool,
+        "live_interval": config.live_interval,
+        "live_port": config.live_port,
+        "checkpoint_interval": config.checkpoint_interval,
+        "resume": config.resume,
+    }
 
 
 def _write_partial_report(config: ExperimentConfig, output_dir: Path,
-                          run_id: str,
-                          visits_total: int, visits_done: int,
-                          events_generated: int, events_quarantined: int,
-                          checkpointer, journal) -> None:
-    """Refresh a ``"partial": true`` manifest at every checkpoint.
+                          run_id: str, visits_total: int, progress: dict,
+                          checkpoint: dict | None, aggregator) -> None:
+    """Refresh the ``"partial": true`` manifest of a running run.
 
-    A killed checkpointed run then still answers ``repro stats`` with
-    how far it durably got; on clean completion the final manifest
-    overwrites this (telemetry on) or :func:`_drop_partial_report`
-    removes it (telemetry off).
+    Written at every checkpoint and on the live cadence (with the live
+    ``aggregator``'s shards done and metrics), so a killed run still
+    answers ``repro stats`` with how far it got; on clean completion
+    the final manifest overwrites it (telemetry on) or
+    :func:`_drop_partial_report` removes it (telemetry off).  The write
+    is advisory -- a resume trusts the journal, not this file -- so an
+    ``OSError`` is logged and the run carries on.
     """
     manifest = {
         "schema": obs_report.SCHEMA,
         "partial": True,
         "run_id": run_id,
         "generated_at": obs_report.utc_now_iso(),
-        "config": {"seed": config.seed,
-                   "volume_scale": config.volume_scale,
-                   "output_dir": str(output_dir),
-                   "workers": config.workers},
+        "config": _config_echo(config),
         "visits_total": visits_total,
-        "progress": {"visits": visits_done,
-                     "events_generated": events_generated,
-                     "events_quarantined": events_quarantined},
-        "checkpoint": {"count": checkpointer.count,
-                       "journal": str(journal.path)},
+        "progress": progress,
     }
-    obs_report.write_report(manifest,
-                            output_dir / obs_report.REPORT_FILENAME)
+    if checkpoint is not None:
+        manifest["checkpoint"] = checkpoint
+    if aggregator is not None:
+        progress["shards_done"] = aggregator.progress()["shards_done"]
+        manifest["metrics"] = aggregator.snapshot()
+    try:
+        obs_report.write_report(manifest,
+                                output_dir / obs_report.REPORT_FILENAME)
+    except OSError as error:
+        obs.current().logger.warning("report.partial_failed",
+                                     error=str(error))
 
 
 def _drop_partial_report(output_dir: Path) -> None:
@@ -748,7 +742,8 @@ def _finalize_report(config: ExperimentConfig, telemetry: obs.Telemetry,
                      split: dict[str, int], bytes_io: dict[str, int],
                      wall_time: float, output_dir: Path,
                      run_id: str | None = None, live_server=None,
-                     reporter=None, checkpoint_info=None) -> None:
+                     live_reports: dict | None = None,
+                     checkpoint_info=None) -> None:
     """Export the trace (if requested) and write ``run_report.json``."""
     trace_path = None
     if config.trace_out is not None:
@@ -765,35 +760,15 @@ def _finalize_report(config: ExperimentConfig, telemetry: obs.Telemetry,
         live["port"] = live_server.port if live_server else None
         live["http_requests"] = (live_server.requests
                                  if live_server else 0)
-        if reporter is not None:
-            live["progress_lines"] = reporter.lines
-            live["partial_snapshots"] = reporter.snapshots
+        live.update(live_reports or {})
     manifest = {
         "schema": obs_report.SCHEMA,
         "generated_at": obs_report.utc_now_iso(),
-        # A final manifest always supersedes the incremental snapshots
-        # the live reporter wrote with ``"partial": true``.
+        # A final manifest always supersedes the partial ones written
+        # while the run was going.
         "partial": False,
         "run_id": run_id,
-        "config": {
-            "seed": config.seed,
-            "volume_scale": config.volume_scale,
-            "output_dir": str(config.output_dir),
-            "write_raw_logs": config.write_raw_logs,
-            "export_dataset": config.export_dataset,
-            "telemetry": config.telemetry,
-            "trace_out": (str(config.trace_out)
-                          if config.trace_out else None),
-            "fault_plan": (config.fault_plan.name
-                           if config.fault_plan else None),
-            "workers": config.workers,
-            "executor": config.executor,
-            "pool": config.pool,
-            "live_interval": config.live_interval,
-            "live_port": config.live_port,
-            "checkpoint_interval": config.checkpoint_interval,
-            "resume": config.resume,
-        },
+        "config": _config_echo(config),
         "wall_time_seconds": wall_time,
         "phases": telemetry.phases.as_dict(),
         "visits_total": result.visits_total,

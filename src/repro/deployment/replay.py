@@ -39,7 +39,17 @@ Workers prefer a ``fork``-context process pool (each worker inherits
 the already-built plan and schedule copy-on-write, replays its shard,
 and streams its outcomes back); where ``fork`` is unavailable the engine
 falls back to threads, whose per-shard runtime contexts install
-thread-locally (see :mod:`repro.runtime`).
+thread-locally (see :mod:`repro.runtime`).  A fork worker whose driver
+process is gone (e.g. SIGKILLed) exits on its own.
+
+One queue carries everything a worker tells the driver:
+``(shard, outcomes, delta, final)`` messages.  With live telemetry
+``delta`` is the worker registry's change since its previous delta (at
+most one per ``emit_interval``, and always one on the last message);
+the driver's merge loop folds it into the live aggregate and takes
+each shard's progress from the outcomes it receives.  ``final`` is set
+on the shard's last message only: its wall time and runtime report
+(metrics, fault counters, spans), which the driver absorbs at the end.
 """
 
 from __future__ import annotations
@@ -51,6 +61,7 @@ import queue as queue_module
 import random
 import signal
 import sys
+import threading
 import time
 import zlib
 from collections import deque
@@ -264,21 +275,19 @@ class OpsOptions:
     """Driver-provided live-ops wiring for one replay.
 
     Everything is optional and additive: with the default options a
-    replay behaves exactly as before (no bus, no shard tracing, no
-    flight dumps), so live telemetry can never perturb the event
-    stream -- it only *observes* the worker registries.
+    replay behaves exactly as before (no metric deltas, no shard
+    tracing, no flight dumps), so live telemetry can never perturb the
+    event stream -- it only *observes* the worker registries.  Workers
+    read it directly: fork workers inherit it, thread workers share it.
     """
 
-    #: Stream shard metrics deltas to the parent over the bus.
+    #: Ship shard metric deltas to the driver with the outcomes.
     live: bool = False
-    #: Seconds between shard delta emissions.
+    #: Minimum seconds between one shard's metric deltas.
     emit_interval: float = 0.5
-    #: Parent-side live aggregate (shared with ``/metrics``); the
+    #: Driver-side live aggregate (shared with ``/metrics``); the
     #: executor builds one if live is on and none is given.
     aggregator: "obs_live.LiveAggregator | None" = None
-    #: Runs on the bus drainer thread after each fold (progress lines,
-    #: incremental snapshots); exceptions are contained by the bus.
-    on_message: "Callable | None" = None
     #: Give each shard a real tracer and stitch its spans back into
     #: the driver timeline (shard-prefixed pids in the Chrome export).
     trace_shards: bool = False
@@ -290,24 +299,6 @@ class OpsOptions:
     #: fast-forward (honeypot state + RNG/fault accounting rebuilt,
     #: events stripped as already durable).
     watermark: tuple[float, str, int] | None = None
-
-
-@dataclass
-class _WorkerOps:
-    """The picklable slice of :class:`OpsOptions` a worker needs
-    (the bus queue rides separately: inherited over fork, passed by
-    reference to threads)."""
-
-    tracing: bool = False
-    emit_interval: float = 0.5
-    flight_dir: str | None = None
-    run_id: str | None = None
-    watermark: tuple[float, str, int] | None = None
-    #: ``proc.kill`` evaluates only in forked workers (a serial or
-    #: thread "worker" is the driver -- killing it is not a recoverable
-    #: chaos scenario); the seeded victim draw needs the worker count.
-    kill_armed: bool = False
-    workers: int = 1
 
 
 class ReplayEngine:
@@ -399,20 +390,6 @@ def _fast_forward_visit(plan: DeploymentPlan, clock: SimClock, seed: int,
     return outcome
 
 
-@dataclass
-class _ShardResult:
-    """What one worker returns to the driver once its shard is done
-    (its outcomes travel over the outcome queue as they replay)."""
-
-    shard: int
-    wall_seconds: float
-    #: :meth:`repro.runtime.RunContext.report` of the worker.
-    report: dict
-    visits: int = 0
-    events: int = 0
-    quarantined: int = 0
-
-
 #: A shard ships its outcomes in lists of up to this many, and at
 #: least every ``_FLUSH_SECONDS``: one queue message per outcome costs
 #: the workers and the driver measurably more pickling and pipe work.
@@ -428,45 +405,44 @@ _FORK_STATE: tuple | None = None
 def _replay_shard(shard: int, plan: DeploymentPlan,
                   shards: Sequence[Sequence[ScheduledVisit]], seed: int,
                   telemetry_enabled: bool, fault_payload: dict | None,
-                  ops: _WorkerOps, bus_queue, outcome_queue,
-                  stop) -> _ShardResult:
+                  ops: OpsOptions, outcome_queue, stop, *,
+                  forked: bool = False) -> None:
     """Replay one shard under its own thread-local runtime context.
 
     Outcomes are shipped to the driver as they replay, in small
-    ``(shard, outcomes, finished)`` batches; the last one has
-    ``finished`` set.  A set ``stop`` flag (the driver gave up early)
-    ends the shard after the current visit.
+    ``(shard, outcomes, delta, final)`` messages (see the module
+    docstring).  A set ``stop`` flag (the driver gave up early) ends
+    the shard after the current visit.
     """
     context = worker_context(telemetry_enabled, fault_payload,
-                             tracing=ops.tracing)
+                             tracing=ops.trace_shards and telemetry_enabled)
     telemetry = context.telemetry
-    emitter = None
-    if bus_queue is not None and telemetry_enabled:
-        emitter = obs_live.ShardEmitter(shard, telemetry.metrics,
-                                        bus_queue.put,
-                                        interval=ops.emit_interval)
+    start = time.perf_counter()
+    emitter = (obs_live.ShardEmitter(telemetry.metrics, ops.emit_interval,
+                                     start)
+               if ops.live and telemetry_enabled else None)
     correlation = {"shard": shard}
     if ops.run_id is not None:
         correlation["run_id"] = ops.run_id
-    flight_path = (Path(ops.flight_dir) / f"flight_shard{shard}.jsonl"
+    flight_path = (ops.flight_dir / f"flight_shard{shard}.jsonl"
                    if ops.flight_dir is not None and telemetry_enabled
                    else None)
     watermark = (tuple(ops.watermark) if ops.watermark is not None
                  else None)
     schedule = shards[shard]
-    start = time.perf_counter()
-    visits = events_total = quarantined = 0
     batch: list[VisitOutcome] = []
     flushed = start
     with context.activate_local(), obs_logging.bind(**correlation):
         shard_plan = faults.current()
         kill_plan = None
-        # Every worker derives the same seeded victim; only the victim
-        # shard ever evaluates the site, so the kill point is
-        # reproducible and exactly one worker dies.
-        if ops.kill_armed and shard_plan is not faults.NULL_PLAN and \
+        # ``proc.kill`` evaluates only in forked workers (a thread
+        # "worker" is the driver -- killing it is not a recoverable
+        # chaos scenario).  Every worker derives the same seeded victim;
+        # only the victim shard ever evaluates the site, so the kill
+        # point is reproducible and exactly one worker dies.
+        if forked and "proc.kill" in shard_plan.sites and \
                 random.Random(f"{shard_plan.seed}:proc.kill:victim"
-                              ).randrange(max(1, ops.workers)) == shard:
+                              ).randrange(len(shards)) == shard:
             kill_plan = shard_plan
         logger = telemetry.logger
         logger.info("shard.start", visits=len(schedule),
@@ -476,43 +452,53 @@ def _replay_shard(shard: int, plan: DeploymentPlan,
             for outcome in _visits(plan, schedule, seed,
                                    telemetry.tracer.span, watermark,
                                    kill_plan):
-                visits += 1
-                events_total += outcome.event_total()
-                if outcome.failure is not None:
-                    quarantined += 1
-                    if not outcome.committed:
-                        logger.warning("visit.quarantined",
-                                       actor=outcome.actor_ip,
-                                       seq=outcome.sequence,
-                                       target=outcome.target_key,
-                                       failure=outcome.failure)
-                if emitter is not None:
-                    emitter.advance(outcome.event_total())
+                if outcome.failure is not None and not outcome.committed:
+                    logger.warning("visit.quarantined",
+                                   actor=outcome.actor_ip,
+                                   seq=outcome.sequence,
+                                   target=outcome.target_key,
+                                   failure=outcome.failure)
                 batch.append(outcome)
                 now = time.perf_counter()
                 if len(batch) >= _OUTCOME_BATCH or \
                         now - flushed >= _FLUSH_SECONDS:
-                    outcome_queue.put((shard, batch, False))
+                    outcome_queue.put((shard, batch, None if emitter is None
+                                       else emitter.take(now), None))
                     batch, flushed = [], now
                 if stop.value:
                     break
-        outcome_queue.put((shard, batch, True))
-        if emitter is not None:
-            emitter.flush()
-        logger.info("shard.done", visits=visits, events=events_total)
-    return _ShardResult(shard=shard,
-                        wall_seconds=time.perf_counter() - start,
-                        report=context.report(), visits=visits,
-                        events=events_total, quarantined=quarantined)
+        now = time.perf_counter()
+        delta = (None if emitter is None
+                 else emitter.take(now, final=True))
+        logger.info("shard.done")
+    outcome_queue.put((shard, batch, delta,
+                       (now - start, context.report())))
 
 
-def _replay_shard_forked(shard: int) -> _ShardResult:
+def _replay_shard_forked(shard: int) -> None:
     assert _FORK_STATE is not None, "fork state not set before pool creation"
-    return _replay_shard(shard, *_FORK_STATE)
+    _replay_shard(shard, *_FORK_STATE, forked=True)
+
+
+def _exit_with_driver(driver_pid: int) -> None:
+    """Fork-pool initializer: end this worker once the driver is gone.
+
+    A SIGKILLed driver cannot shut its pool down, and an idle worker
+    never sees EOF on the pool's pipes (its siblings hold their other
+    ends), so it would wait forever.  A daemon thread polls the parent
+    pid instead: reparenting means the driver died.
+    """
+    def watch() -> None:
+        while os.getppid() == driver_pid:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="driver-watch", daemon=True).start()
 
 
 def _check_futures(futures) -> None:
-    """Surface a dead worker while the merge is idle.
+    """Surface a dead worker while the merge is idle (and any worker
+    error once the pool is done).
 
     SIGKILLing a pool worker breaks every pending future; without this
     check the merge would poll its queue forever.
@@ -526,7 +512,7 @@ def _check_futures(futures) -> None:
             raise error
 
 
-def _stop_workers(futures, outcome_queue, done: list[bool], stop) -> None:
+def _stop_workers(futures, outcome_queue, finals: list, stop) -> None:
     """Stop every shard after the driver left the merge early.
 
     Unstarted shards are cancelled; running ones see ``stop`` after
@@ -541,7 +527,7 @@ def _stop_workers(futures, outcome_queue, done: list[bool], stop) -> None:
 
     def finished(index: int) -> bool:
         future = futures[index]
-        return done[index] or future.cancelled() or (
+        return finals[index] is not None or future.cancelled() or (
             future.done() and future.exception() is not None)
 
     while not all(finished(index) for index in range(len(futures))):
@@ -549,8 +535,8 @@ def _stop_workers(futures, outcome_queue, done: list[bool], stop) -> None:
             message = outcome_queue.get(timeout=0.25)
         except queue_module.Empty:
             continue
-        if message[2]:
-            done[message[0]] = True
+        if message[3] is not None:
+            finals[message[0]] = message[3]
 
 
 class ShardedExecutor(ReplayEngine):
@@ -597,34 +583,31 @@ class ShardedExecutor(ReplayEngine):
         driver_plan = faults.current()
         fault_payload = (None if driver_plan is faults.NULL_PLAN
                          else driver_plan.payload())
-        worker_ops = _WorkerOps(
-            tracing=ops.trace_shards and telemetry.enabled,
-            emit_interval=ops.emit_interval,
-            flight_dir=(str(ops.flight_dir)
-                        if ops.flight_dir is not None else None),
-            run_id=ops.run_id,
-            watermark=ops.watermark,
-            kill_armed=(self.pool == "fork" and
-                        "proc.kill" in driver_plan.sites),
-            workers=count)
-        bus = None
+        aggregator = None
         if ops.live and telemetry.enabled:
-            bus = obs_live.LiveBus(self._make_queue(simple=True),
-                                   aggregator=ops.aggregator,
-                                   on_message=ops.on_message)
-            bus.start()
-        out_queue = self._make_queue()
-        stop = (SimpleNamespace(value=0) if self.pool == "thread"
-                else multiprocessing.get_context("fork").RawValue("b", 0))
-        args = (plan, shards, seed, telemetry.enabled, fault_payload,
-                worker_ops, bus.queue if bus else None, out_queue, stop)
+            aggregator = (ops.aggregator if ops.aggregator is not None
+                          else obs_live.LiveAggregator())
+        if self.pool == "thread":
+            out_queue = queue_module.Queue()
+            stop = SimpleNamespace(value=0)
+        else:
+            context = multiprocessing.get_context("fork")
+            out_queue = context.Queue()
+            stop = context.RawValue("b", 0)
+        args = (plan, shards, seed, telemetry.enabled, fault_payload, ops,
+                out_queue, stop)
         buffers: list[deque] = [deque() for _ in range(count)]
-        done = [False] * count
+        # Each shard's (wall seconds, report), from its last message.
+        finals: list = [None] * count
+        # Per-shard progress, counted from the outcomes received.
+        tallies = [{"shard": index, "visits": 0, "events": 0,
+                    "quarantined_visits": 0} for index in range(count)]
+        emissions = [0] * count
 
         def emit_ready() -> Iterator[VisitOutcome]:
             while True:
                 ready = [i for i in range(count) if buffers[i]]
-                if not ready or not all(done[i] or buffers[i]
+                if not ready or not all(finals[i] is not None or buffers[i]
                                         for i in range(count)):
                     return
                 best = min(ready, key=lambda i: buffers[i][0].key)
@@ -638,7 +621,8 @@ class ShardedExecutor(ReplayEngine):
                 _FORK_STATE = args
                 pool = ProcessPoolExecutor(
                     max_workers=count,
-                    mp_context=multiprocessing.get_context("fork"))
+                    mp_context=context, initializer=_exit_with_driver,
+                    initargs=(os.getpid(),))
                 target, shard_args = _replay_shard_forked, ()
             with pool:
                 futures = [pool.submit(target, index, *shard_args)
@@ -651,56 +635,64 @@ class ShardedExecutor(ReplayEngine):
                         except queue_module.Empty:
                             _check_futures(futures)
                             continue
-                        shard, outcomes, finished = message
+                        shard, outcomes, delta, final = message
                         buffers[shard].extend(outcomes)
-                        if finished:
-                            done[shard] = True
+                        tally = tallies[shard]
+                        tally["visits"] += len(outcomes)
+                        for outcome in outcomes:
+                            tally["events"] += outcome.event_total()
+                            if outcome.failure is not None:
+                                tally["quarantined_visits"] += 1
+                        if delta is not None:
+                            emissions[shard] += 1
+                            aggregator.fold({
+                                "shard": shard, "seq": emissions[shard],
+                                "visits": tally["visits"],
+                                "events": tally["events"],
+                                "metrics": delta,
+                                "done": final is not None})
+                        if final is not None:
+                            finals[shard] = final
                             pending -= 1
                         yield from emit_ready()
-                    results = [future.result() for future in futures]
-                except BrokenProcessPool as error:
-                    raise WorkerLostError(
-                        "shard worker process died mid-replay") from error
                 except BaseException:
                     # A driver-side error or an abandoned stream: stop
                     # the workers before the pool waits for them.
-                    _stop_workers(futures, out_queue, done, stop)
+                    _stop_workers(futures, out_queue, finals, stop)
                     raise
+            _check_futures(futures)
         finally:
             _FORK_STATE = None
-            if bus is not None:
-                bus.stop()
 
         # Fold each worker's metrics and fault counters into the
         # driver's ambient runtime so run-wide accounting stays exact.
         # (The live aggregate is display-side only; this end-of-run
         # merge stays the single source of truth for the manifest.)
         driver = RunContext(telemetry=telemetry, fault_plan=driver_plan)
-        merged = obs.MetricsRegistry() if bus is not None else None
-        for result in results:
-            driver.absorb(result.report)
-            if merged is not None and result.report.get("metrics"):
-                merged.merge(result.report["metrics"])
+        merged = obs.MetricsRegistry() if aggregator is not None else None
+        for _, report in finals:
+            driver.absorb(report)
+            if merged is not None and report.get("metrics"):
+                merged.merge(report["metrics"])
         stitched_spans = 0
-        if worker_ops.tracing:
+        if ops.trace_shards and telemetry.enabled:
             # Stitch per-shard traces into one timeline: the driver's
             # spans stay on Chrome pid 1, each shard gets its own
             # process lane.
             telemetry.tracer.process_names.setdefault(1, "driver")
-            for result in results:
+            for shard, (_, report) in enumerate(finals):
                 stitched_spans += telemetry.tracer.absorb(
-                    result.report.get("spans") or [],
-                    pid=result.shard + 2, name=f"shard {result.shard}")
+                    report.get("spans") or [],
+                    pid=shard + 2, name=f"shard {shard}")
         live_stats = None
-        if bus is not None:
+        if aggregator is not None:
             live_stats = {
-                "emissions": bus.aggregator.progress()["emissions"],
-                "callback_errors": bus.callback_errors,
+                "emissions": sum(emissions),
                 # The delta-merge invariant, checked on every live run:
                 # folding the streamed deltas must reconstruct exactly
                 # the end-of-run merged registry (counters+histograms).
                 "equals_merged": obs_live.counters_equal(
-                    bus.aggregator.snapshot(), merged.snapshot()),
+                    aggregator.snapshot(), merged.snapshot()),
             }
         self.stats = {
             "executor": self.name,
@@ -708,24 +700,9 @@ class ShardedExecutor(ReplayEngine):
             "pool": self.pool,
             "live": live_stats,
             "stitched_spans": stitched_spans,
-            "shards": [{
-                "shard": result.shard,
-                "visits": result.visits,
-                "events": result.events,
-                "quarantined_visits": result.quarantined,
-                "wall_seconds": result.wall_seconds,
-            } for result in results],
+            "shards": [{**tally, "wall_seconds": wall_seconds}
+                       for tally, (wall_seconds, _) in zip(tallies, finals)],
         }
-
-    def _make_queue(self, *, simple: bool = False):
-        """A queue workers of this pool flavor can reach: plain
-        in-process for threads, a fork-context pipe for processes.
-        The outcome queue needs ``get(timeout=...)`` (so the driver
-        can poll for dead workers), which the bus's SimpleQueue lacks."""
-        if self.pool == "thread":
-            return queue_module.Queue()
-        context = multiprocessing.get_context("fork")
-        return context.SimpleQueue() if simple else context.Queue()
 
 
 def resolve_workers(requested: "int | str", *,

@@ -3,36 +3,36 @@
 Three cooperating pieces turn a multi-hour ``repro run --workers N``
 from a black box into something watchable while it runs:
 
-* **Metrics bus.**  Each replay worker owns a private
+* **Metric deltas.**  Each replay worker owns a private
   :class:`~repro.obs.metrics.MetricsRegistry`; a :class:`ShardEmitter`
-  periodically snapshots it, computes the *delta* since its previous
-  emission (:func:`snapshot_delta`), and ships the delta over a
-  queue/pipe to the parent.  The parent's :class:`LiveBus` drains the
-  queue on a background thread and folds every delta into a
-  :class:`LiveAggregator` via :meth:`MetricsRegistry.merge` -- counters
-  and histogram deltas are additive, so the live aggregate converges
-  to exactly the end-of-run merged registry (gauges fold by ``max``,
-  the same order-independent rule ``merge`` uses).
+  computes the *delta* since its previous one (:func:`snapshot_delta`)
+  at most every ``interval`` seconds, and the delta rides the shard's
+  next outcome message to the driver (see
+  :mod:`repro.deployment.replay`).  The driver's merge loop folds every
+  delta into a :class:`LiveAggregator` via
+  :meth:`MetricsRegistry.merge` -- counters and histogram deltas are
+  additive, so the live aggregate converges to exactly the end-of-run
+  merged registry (gauges fold by ``max``, the same order-independent
+  rule ``merge`` uses).
 * **Exposition.**  :class:`LiveOpsServer` is an in-process HTTP
   listener serving ``/metrics`` (Prometheus text, rendered from any
   snapshot source) and ``/healthz`` (JSON from a health callable);
   ``repro serve`` points it at the supervisor's per-honeypot listener
   state, ``repro run --live-port`` at the live aggregate.
-* **Progress.**  Every bus message carries the shard's visit/event
-  progress, so the driver can print progress lines and write
-  incremental manifest snapshots instead of going dark for the whole
-  replay.
+* **Progress.**  The aggregator keeps per-shard visits, events and
+  done flags as the driver receives the outcomes, so ``/healthz`` shows
+  how far each shard got; the driver loop prints progress lines and
+  refreshes the partial manifest from its own tallies.
 
-Everything here is parent/worker plumbing around the existing
-registry; nothing touches visit replay, so live telemetry cannot
-change event streams (asserted by the sharded-equality tests).
+Everything here observes registries that replay fills anyway; nothing
+touches visit replay, so live telemetry cannot change event streams
+(asserted by the sharded-equality tests).
 """
 
 from __future__ import annotations
 
 import json
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
@@ -40,7 +40,7 @@ from repro.obs.exposition import render_prometheus
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
-    "LiveAggregator", "LiveBus", "LiveOpsServer", "ShardEmitter",
+    "LiveAggregator", "LiveOpsServer", "ShardEmitter",
     "counters_equal", "snapshot_delta",
 ]
 
@@ -126,50 +126,27 @@ def counters_equal(left: dict, right: dict) -> bool:
 # -- worker side ------------------------------------------------------------
 
 class ShardEmitter:
-    """Worker-side half of the bus: periodic delta emissions.
+    """Worker-side delta bookkeeping for one shard's registry.
 
-    ``send`` is the queue's ``put``; the emitter never blocks the visit
-    loop for longer than one snapshot + one pickle.  Call
-    :meth:`maybe_emit` once per visit (cheap clock check) and
-    :meth:`flush` when the shard finishes.
+    :meth:`take` returns the registry change since the previous delta
+    once ``interval`` seconds have passed since it (always when
+    ``final``), else ``None``; the caller ships it with its outcomes.
     """
 
-    def __init__(self, shard: int, registry: MetricsRegistry,
-                 send: Callable[[dict], None], *,
-                 interval: float = 0.5,
-                 clock: Callable[[], float] | None = None):
-        self.shard = shard
+    def __init__(self, registry: MetricsRegistry, interval: float,
+                 now: float):
         self.registry = registry
         self.interval = interval
-        self.emissions = 0
-        self._send = send
-        self._clock = clock if clock is not None else time.perf_counter
-        self._last = self._clock()
+        self._last = now
         self._previous: dict | None = None
-        self.visits_done = 0
-        self.events_done = 0
 
-    def advance(self, events: int) -> None:
-        """Account one replayed visit, then emit if the interval passed."""
-        self.visits_done += 1
-        self.events_done += events
-        if self._clock() - self._last >= self.interval:
-            self.emit()
-
-    def emit(self, *, done: bool = False) -> None:
+    def take(self, now: float, *, final: bool = False) -> dict | None:
+        if not final and now - self._last < self.interval:
+            return None
         current = self.registry.snapshot()
         delta = snapshot_delta(self._previous, current)
-        self._previous = current
-        self._last = self._clock()
-        self.emissions += 1
-        self._send({"shard": self.shard, "seq": self.emissions,
-                    "visits": self.visits_done,
-                    "events": self.events_done,
-                    "metrics": delta, "done": done})
-
-    def flush(self) -> None:
-        """Final emission; marks the shard done on the parent side."""
-        self.emit(done=True)
+        self._previous, self._last = current, now
+        return delta
 
 
 # -- parent side ------------------------------------------------------------
@@ -181,12 +158,10 @@ class LiveAggregator:
         self.registry = MetricsRegistry()
         self._lock = threading.Lock()
         self.shards: dict[int, dict] = {}
-        self.messages = 0
 
     def fold(self, message: dict) -> None:
         self.registry.merge(message.get("metrics") or {})
         with self._lock:
-            self.messages += 1
             self.shards[message["shard"]] = {
                 "visits": message.get("visits", 0),
                 "events": message.get("events", 0),
@@ -210,59 +185,6 @@ class LiveAggregator:
 
     def snapshot(self) -> dict:
         return self.registry.snapshot()
-
-
-#: End-of-stream sentinel on the bus queue.
-_CLOSE = None
-
-
-class LiveBus:
-    """Parent-side drainer: a queue plus the thread that folds it.
-
-    ``queue`` must support ``put``/``get`` and carry pickled dicts --
-    a ``queue.Queue`` for thread-pool workers, an
-    ``mp_context.SimpleQueue`` for fork-pool workers (the child
-    inherits the write end).  ``on_message`` (optional) runs on the
-    drainer thread after each fold -- progress printing and incremental
-    snapshot writes hang off it; its exceptions are contained and
-    counted so a display bug can never stall the bus.
-    """
-
-    def __init__(self, queue, *,
-                 aggregator: LiveAggregator | None = None,
-                 on_message: Callable[[LiveAggregator, dict], None]
-                 | None = None):
-        self.queue = queue
-        self.aggregator = (aggregator if aggregator is not None
-                           else LiveAggregator())
-        self.on_message = on_message
-        self.callback_errors = 0
-        self._thread: threading.Thread | None = None
-
-    def start(self) -> None:
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._drain, name="live-bus", daemon=True)
-            self._thread.start()
-
-    def _drain(self) -> None:
-        while True:
-            message = self.queue.get()
-            if message is _CLOSE:
-                return
-            self.aggregator.fold(message)
-            if self.on_message is not None:
-                try:
-                    self.on_message(self.aggregator, message)
-                except Exception:
-                    self.callback_errors += 1
-
-    def stop(self) -> None:
-        """Close the stream; every message put before this is folded."""
-        if self._thread is not None:
-            self.queue.put(_CLOSE)
-            self._thread.join()
-            self._thread = None
 
 
 # -- HTTP exposition --------------------------------------------------------

@@ -38,9 +38,9 @@ def write_report(manifest: dict, path: str | Path) -> Path:
     """Serialize ``manifest`` to ``path`` as pretty-printed JSON.
 
     Atomic: the JSON goes to a temp file in the same directory, named
-    per process and thread (the live reporter and the driver may write
-    the same manifest concurrently), which then replaces ``path``.  A
-    crash mid-write leaves the previous manifest intact.
+    per process and thread (so concurrent writers never share one),
+    which then replaces ``path``.  A crash mid-write leaves the previous
+    manifest intact.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -109,9 +109,10 @@ def _format_bytes(count: object) -> str:
 def format_summary(manifest: dict) -> str:
     """Render a manifest as the human-readable ``repro stats`` report."""
     sections: list[str] = []
-    if manifest.get("partial"):
-        # Incremental snapshot from the live reporter: the run is
-        # either still going or died before its final manifest.
+    partial = bool(manifest.get("partial"))
+    if partial:
+        # Written while the run was going: it is either still going or
+        # died before its final manifest.
         sections.append(
             "*** PARTIAL REPORT: run in progress or interrupted ***\n"
             "    (a crashed checkpointed run can be continued with "
@@ -141,6 +142,24 @@ def format_summary(manifest: dict) -> str:
         sections.append("phases\n" + _format_table(
             ["phase", "seconds", "share"], rows))
 
+    if partial:
+        progress = manifest.get("progress") or {}
+        rows = [
+            ["visits done", f"{progress.get('visits', '?')} / "
+                            f"{manifest.get('visits_total', '?')}"],
+            ["events generated", progress.get("events_generated", "?")],
+            ["events quarantined",
+             progress.get("events_quarantined", "?")],
+        ]
+        if "shards_done" in progress:
+            rows.append(["shards done", f"{progress['shards_done']} / "
+                                        f"{config.get('workers', '?')}"])
+        if manifest.get("checkpoint"):
+            rows.append(["checkpoints",
+                         manifest["checkpoint"].get("count", "?")])
+        sections.append("progress\n" + _format_table(
+            ["metric", "value"], rows))
+
     totals = [
         ["visits", manifest.get("visits_total", "?")],
         ["events", manifest.get("events_total", "?")],
@@ -163,7 +182,9 @@ def format_summary(manifest: dict) -> str:
     rss = manifest.get("peak_rss_bytes")
     if rss is not None:
         totals.append(["peak RSS", _format_bytes(rss)])
-    sections.append("totals\n" + _format_table(["metric", "value"], totals))
+    if not partial:
+        sections.append("totals\n" + _format_table(["metric", "value"],
+                                                    totals))
 
     replay = manifest.get("replay") or {}
     if replay.get("shards"):
@@ -252,8 +273,6 @@ def format_summary(manifest: dict) -> str:
         if live.get("port"):
             rows.append(["http port", live["port"]])
             rows.append(["http requests", live.get("http_requests", "?")])
-        if live.get("callback_errors"):
-            rows.append(["callback errors", live["callback_errors"]])
         sections.append("live telemetry\n" + _format_table(
             ["metric", "value"], rows))
 

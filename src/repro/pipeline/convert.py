@@ -175,6 +175,11 @@ def truncate_events(db_path: str | Path, rows: int) -> int:
         return 0
     connection = sqlite3.connect(db_path)
     try:
+        if connection.execute("SELECT 1 FROM sqlite_master WHERE "
+                              "name = 'events'").fetchone() is None:
+            # The writer died before committing its schema (it had no
+            # committed rows yet): nothing to cut.
+            return 0
         (removed,) = connection.execute(
             "SELECT COUNT(*) FROM events WHERE id > ?", (rows,)).fetchone()
         connection.execute("DELETE FROM events WHERE id > ?", (rows,))

@@ -204,6 +204,20 @@ class TestDurableSink:
         assert resumed.committed_state == uninterrupted
         assert prefix_digest(db, 30) == uninterrupted["digest"]
 
+    def test_resume_of_db_killed_before_its_schema(self, tmp_path, world):
+        # A run killed just after its writer thread created the file,
+        # before the schema was committed, leaves an empty database
+        # whose committed prefix is zero rows.
+        db = tmp_path / "db.sqlite"
+        db.touch()
+        assert truncate_events(db, 0) == 0
+        events = [make_event(src_port=p) for p in range(6100, 6105)]
+        resumed = self._write(tmp_path, world, events,
+                              resume=(0, DIGEST_SEED.hex()))
+        resumed.close()
+        assert resumed.committed_state["rows"] == 5
+        assert prefix_digest(db, 5) == resumed.committed_state["digest"]
+
     def test_prefix_digest_detects_tamper_and_short_db(self, tmp_path,
                                                        world):
         sink = self._write(tmp_path, world,
@@ -692,6 +706,26 @@ class TestStatsPartialBanner:
         out = capsys.readouterr().out
         assert "run in progress or interrupted" in out
         assert "--resume" in out
+
+    def test_driver_partial_manifest_shows_progress(self, tmp_path,
+                                                    capsys):
+        from repro.deployment import experiment
+
+        config = ExperimentConfig(seed=31, volume_scale=0.0005,
+                                  output_dir=tmp_path, workers=4)
+        experiment._write_partial_report(
+            config, tmp_path, "abc", 40,
+            {"visits": 12, "events_generated": 57,
+             "events_quarantined": 3, "shards_done": 1},
+            None, None)
+        assert cli("stats", "--output", tmp_path) == 0
+        out = capsys.readouterr().out
+        assert "run in progress or interrupted" in out
+        assert "seed=31" in out and "scale=0.0005" in out
+        assert any(line.startswith("visits done") and "12 / 40" in line
+                   for line in out.splitlines())
+        assert any(line.startswith("shards done") and "1 / 4" in line
+                   for line in out.splitlines())
 
     def test_final_manifest_has_no_banner(self, reference, capsys):
         assert cli("stats", "--output", reference[0]) == 0

@@ -1,9 +1,9 @@
-"""Tests for the live operations plane: Prometheus exposition, the
-streaming metrics bus (delta emission + parent-side fold), correlated
+"""Tests for the live operations plane: Prometheus exposition, shard
+metric deltas (worker-side bookkeeping + driver-side fold), correlated
 structured logging, and the crash flight recorder.
 
 The load-bearing invariant here is *delta-merge equivalence*: folding
-every delta a shard emitter streams must reconstruct exactly the
+every delta a shard emitter takes must reconstruct exactly the
 registry an end-of-run merge would produce (counters and histograms;
 gauges fold by max and are excluded by design).  It is asserted both
 synthetically and on randomized workloads.
@@ -18,29 +18,17 @@ import subprocess
 import sys
 import textwrap
 import threading
-import queue as queue_module
 
 import pytest
 
 from repro import obs
 from repro.obs.exposition import render_prometheus
 from repro.obs.flight import FlightRecorder, NullFlightRecorder
-from repro.obs.live import (LiveAggregator, LiveBus, ShardEmitter,
-                            counters_equal, snapshot_delta)
+from repro.obs.live import (LiveAggregator, ShardEmitter, counters_equal,
+                            snapshot_delta)
 from repro.obs.logging import (NullOpsLogger, OpsLogger, bind,
                                context_fields)
 from repro.obs.metrics import MetricsRegistry
-
-
-class FakeClock:
-    def __init__(self, start=0.0):
-        self.now = start
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
 
 
 # -- Prometheus exposition --------------------------------------------------
@@ -212,17 +200,23 @@ class TestDeltaMergeEquivalence:
         merged = MetricsRegistry()
         for shard in range(4):
             registry = MetricsRegistry()
-            emitter = ShardEmitter(shard, registry, lambda message:
-                                   aggregator.fold(message),
-                                   interval=0.0)
-            for _ in range(50):
+            emitter = ShardEmitter(registry, interval=1.0, now=0.0)
+            seq = 0
+            for step in range(1, 51):
                 registry.inc("events", rng.randint(1, 3), shard=shard)
                 registry.observe("lat", rng.random(), shard=shard)
-                if rng.random() < 0.3:
-                    emitter.emit()
-            emitter.flush()
+                final = step == 50
+                delta = emitter.take(step * 0.3, final=final)
+                if delta is not None:
+                    seq += 1
+                    aggregator.fold({"shard": shard, "seq": seq,
+                                     "visits": step, "events": step,
+                                     "metrics": delta, "done": final})
             merged.merge(registry)
         assert counters_equal(aggregator.snapshot(), merged.snapshot())
+        progress = aggregator.progress()
+        assert progress["shards_done"] == 4
+        assert progress["visits"] == 200
 
     def test_counters_equal_detects_difference(self):
         left = MetricsRegistry()
@@ -239,86 +233,38 @@ class TestDeltaMergeEquivalence:
         assert counters_equal(left.snapshot(), right.snapshot())
 
 
-# -- emitter / aggregator / bus ---------------------------------------------
+# -- emitter / aggregator ---------------------------------------------------
 
 class TestShardEmitter:
     def test_emits_on_interval(self):
-        clock = FakeClock()
-        sent = []
         registry = MetricsRegistry()
-        emitter = ShardEmitter(2, registry, sent.append,
-                               interval=1.0, clock=clock)
-        registry.inc("events")
-        emitter.advance(3)
-        assert sent == []  # interval not yet elapsed
-        clock.advance(1.5)
-        registry.inc("events")
-        emitter.advance(2)
-        assert len(sent) == 1
-        message = sent[0]
-        assert message["shard"] == 2
-        assert message["seq"] == 1
-        assert message["visits"] == 2
-        assert message["events"] == 5
-        assert message["done"] is False
+        emitter = ShardEmitter(registry, interval=1.0, now=10.0)
+        registry.inc("events", 3)
+        assert emitter.take(10.5) is None  # interval not yet elapsed
+        first = emitter.take(11.0)
+        assert first["counters"][0]["value"] == 3
+        registry.inc("events", 2)
+        assert emitter.take(11.9) is None  # measured from the last delta
+        second = emitter.take(12.0)
+        assert second["counters"][0]["value"] == 2
+        assert emitter.take(20.0)["counters"] == []  # nothing new
 
     def test_flush_marks_done_and_streams_remainder(self):
-        sent = []
         registry = MetricsRegistry()
-        emitter = ShardEmitter(0, registry, sent.append,
-                               interval=1e9, clock=FakeClock())
+        emitter = ShardEmitter(registry, interval=1.0, now=0.0)
         registry.inc("events", 4)
-        emitter.advance(4)
-        emitter.flush()
-        assert [m["done"] for m in sent] == [True]
+        deltas = [emitter.take(1.0)]
+        registry.inc("events", 1)
+        registry.observe("lat", 0.5)
+        assert emitter.take(1.5) is None
+        # The final delta ignores the interval and carries everything
+        # not yet shipped.
+        deltas.append(emitter.take(1.5, final=True))
+        assert deltas[1]["counters"][0]["value"] == 1
         folded = MetricsRegistry()
-        for message in sent:
-            folded.merge(message["metrics"])
+        for delta in deltas:
+            folded.merge(delta)
         assert counters_equal(folded.snapshot(), registry.snapshot())
-
-
-class TestLiveBus:
-    def test_drains_and_folds(self):
-        bus = LiveBus(queue_module.Queue())
-        bus.start()
-        registry = MetricsRegistry()
-        emitter = ShardEmitter(0, registry, bus.queue.put,
-                               interval=0.0)
-        registry.inc("events", 6)
-        emitter.flush()
-        bus.stop()
-        progress = bus.aggregator.progress()
-        assert progress["shards_done"] == 1
-        assert counters_equal(bus.aggregator.snapshot(),
-                              registry.snapshot())
-
-    def test_uses_given_aggregator(self):
-        aggregator = LiveAggregator()
-        bus = LiveBus(queue_module.Queue(), aggregator=aggregator)
-        assert bus.aggregator is aggregator
-
-    def test_callback_errors_contained(self):
-        def boom(aggregator, message):
-            raise RuntimeError("display bug")
-
-        bus = LiveBus(queue_module.Queue(), on_message=boom)
-        bus.start()
-        bus.queue.put({"shard": 0, "seq": 1, "visits": 1, "events": 0,
-                       "metrics": {}, "done": True})
-        bus.stop()
-        assert bus.callback_errors == 1
-        assert bus.aggregator.progress()["shards_done"] == 1
-
-    def test_stop_folds_messages_queued_before(self):
-        bus = LiveBus(queue_module.Queue())
-        for shard in range(8):
-            bus.queue.put({"shard": shard, "seq": 1, "visits": 1,
-                           "events": 2, "metrics": {}, "done": True})
-        bus.start()
-        bus.stop()
-        progress = bus.aggregator.progress()
-        assert progress["shards_reporting"] == 8
-        assert progress["events"] == 16
 
 
 class TestLiveAggregator:

@@ -9,6 +9,7 @@ guarantee rests on.
 """
 
 import hashlib
+import json
 import os
 import signal
 import sqlite3
@@ -26,7 +27,9 @@ from repro.deployment.plan import build_plan
 from repro.deployment.replay import (OpsOptions, SerialExecutor,
                                      ShardedExecutor, build_engine,
                                      compile_visits, shard_of)
+from repro.obs.live import LiveAggregator
 from repro.resilience import faults
+from repro.runtime.journal import journal_path
 
 SCALE = 0.0002
 SEED = 2024
@@ -216,11 +219,14 @@ def _group_members(pgid: int) -> list[int]:
     return members
 
 
+needs_fork_and_proc = pytest.mark.skipif(
+    "fork" not in __import__("multiprocessing").get_all_start_methods()
+    or not Path("/proc/self/stat").exists(),
+    reason="needs the fork start method and /proc")
+
+
 class TestEarlyExit:
-    @pytest.mark.skipif(
-        "fork" not in __import__("multiprocessing").get_all_start_methods()
-        or not Path("/proc/self/stat").exists(),
-        reason="needs the fork start method and /proc")
+    @needs_fork_and_proc
     def test_driver_error_in_fork_pool_exits(self, tmp_path):
         # The driver stops reading the outcome queue mid-run; the run
         # must still fail promptly and take its workers with it.
@@ -243,6 +249,36 @@ class TestEarlyExit:
         leftover = _group_members(proc.pid)
         for pid in leftover:
             os.kill(pid, signal.SIGKILL)
+        assert leftover == []
+
+    @needs_fork_and_proc
+    def test_sigkilled_driver_takes_its_workers_with_it(self, tmp_path):
+        # A SIGKILLed driver cannot shut its fork pool down; the workers
+        # must notice on their own and exit.
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "run", "--seed", str(SEED),
+             "--scale", str(SCALE), "--output", str(tmp_path),
+             "--workers", "2", "--checkpoint-interval", "0.2"],
+            env=env, cwd=REPO_ROOT, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL, start_new_session=True)
+        journal = journal_path(tmp_path)
+        try:
+            deadline = time.monotonic() + 120.0
+            while not (journal.exists() and '"kind":"checkpoint"'
+                       in journal.read_text(encoding="utf-8")):
+                assert proc.poll() is None, "run ended before a checkpoint"
+                assert time.monotonic() < deadline, "no checkpoint taken"
+                time.sleep(0.02)
+            os.kill(proc.pid, signal.SIGKILL)  # the driver only
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 15.0
+            while _group_members(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            leftover = _group_members(proc.pid)
+        finally:
+            for pid in _group_members(proc.pid):
+                os.kill(pid, signal.SIGKILL)
         assert leftover == []
 
 
@@ -319,9 +355,10 @@ class TestChaosEquality:
 
 
 class TestLiveShardedEquality:
-    """A live-telemetry run is still byte-identical to serial: the bus
-    only observes the worker registries, so streaming shard deltas,
-    progress lines, and partial snapshots must not perturb replay."""
+    """A live-telemetry run is still byte-identical to serial: metric
+    deltas only observe the worker registries, so shipping them with
+    the outcomes, progress lines, and partial snapshots must not
+    perturb replay."""
 
     @pytest.fixture(scope="class")
     def live(self, tmp_path_factory):
@@ -339,7 +376,6 @@ class TestLiveShardedEquality:
     def test_delta_merge_invariant_holds(self, live):
         stats = live.report["replay"]["live"]
         assert stats["emissions"] >= 4  # at least one flush per shard
-        assert stats["callback_errors"] == 0
         assert stats["equals_merged"] is True
 
     def test_manifest_live_section(self, live):
@@ -368,6 +404,57 @@ class TestLiveShardedEquality:
     def test_no_flight_dumps_on_clean_run(self, live):
         dumps = list(live.config.output_dir.glob("flight*"))
         assert dumps == []
+
+    def test_aggregator_progress_matches_shard_stats(self):
+        # The driver counts per-shard progress from the outcomes it
+        # receives; at the end it must agree with the manifest's shards.
+        plan, schedule = fresh_schedule()
+        engine = ShardedExecutor(3, pool="thread")
+        aggregator = LiveAggregator()
+        telemetry = obs.Telemetry(enabled=True)
+        with obs.install(telemetry):
+            outcomes = list(engine.replay(
+                schedule, plan, SEED, telemetry,
+                OpsOptions(live=True, emit_interval=0.0,
+                           aggregator=aggregator)))
+        progress = aggregator.progress()
+        assert progress["shards_done"] == 3
+        assert {shard: (state["visits"], state["events"])
+                for shard, state in progress["per_shard"].items()} == {
+            shard["shard"]: (shard["visits"], shard["events"])
+            for shard in engine.stats["shards"]}
+        assert progress["visits"] == len(outcomes) == len(schedule)
+        assert engine.stats["live"]["equals_merged"] is True
+
+    def test_partial_write_failures_are_advisory(self, serial, tmp_path,
+                                                 monkeypatch):
+        # The journal is what a resume trusts; a partial manifest that
+        # cannot be written must not stop the run.
+        from repro.obs import report as obs_report
+
+        write = obs_report.write_report
+
+        def failing_write(manifest, path):
+            if manifest.get("partial"):
+                raise OSError("disk full (injected)")
+            return write(manifest, path)
+
+        monkeypatch.setattr(obs_report, "write_report", failing_write)
+        result = run_experiment(ExperimentConfig(
+            seed=SEED, volume_scale=SCALE, output_dir=tmp_path,
+            telemetry=True, workers=2, pool="thread", live_interval=0.01,
+            checkpoint_interval=0.05))
+        assert result.checkpoints_taken >= 1
+        assert result.report["partial"] is False
+        assert json.loads((tmp_path / "run_report.json").read_text(
+            encoding="utf-8"))["partial"] is False
+        assert table_digests(result.low_db) == table_digests(serial.low_db)
+        assert (table_digests(result.midhigh_db)
+                == table_digests(serial.midhigh_db))
+        failures = [line for line in (tmp_path / "ops.jsonl").read_text(
+            encoding="utf-8").splitlines()
+            if '"report.partial_failed"' in line]
+        assert failures
 
     def test_plain_sharded_run_has_no_live_section(self, sharded):
         assert sharded.report["replay"]["live"] is None
