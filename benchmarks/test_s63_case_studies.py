@@ -13,7 +13,7 @@ from repro.honeypots import (Elasticpot, MongoHoneypot, RedisHoneypot,
                              StickyElephant)
 from repro.honeypots.base import MemoryWire, SessionContext
 from repro.netsim.clock import SimClock
-from repro.pipeline.logstore import LogStore
+from repro.pipeline.sinks import BufferSink
 
 CASES = [
     ("P2PInfect (Listing 1)", lambda: RedisHoneypot("hp"),
@@ -34,12 +34,12 @@ CASES = [
 
 
 def replay(honeypot, script):
-    store = LogStore()
+    store = BufferSink()
     clock = SimClock()
 
     def opener(target_key=None):
         return MemoryWire(honeypot, SessionContext(
-            "203.0.113.99", 40000, clock, store.append))
+            "203.0.113.99", 40000, clock, store))
 
     script(VisitContext(opener=opener, target_key="t",
                         rng=random.Random(0)))

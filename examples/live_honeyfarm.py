@@ -27,19 +27,19 @@ from repro.netsim.asdb import ASType
 from repro.netsim.clock import SimClock
 from repro.netsim.geoip import GeoIPDatabase
 from repro.pipeline.convert import convert_to_sqlite
-from repro.pipeline.logstore import LogStore
+from repro.pipeline.sinks import BufferSink
 
 
 async def run() -> None:
     clock = SimClock()
-    store = LogStore()
+    store = BufferSink()
     honeypots = [
         RedisHoneypot("live-redis", config="fake_data"),
         StickyElephant("live-postgresql"),
         Elasticpot("live-elasticsearch"),
         MongoHoneypot("live-mongodb"),
     ]
-    servers = await serve_honeypots(honeypots, clock, store.append)
+    servers = await serve_honeypots(honeypots, clock, store)
     ports = {server.honeypot.dbms: server.port for server in servers}
     print("[*] honeypots listening on 127.0.0.1:")
     for dbms, port in ports.items():
@@ -89,7 +89,7 @@ async def run() -> None:
     space.register_as(64500, "LOOPBACK-LAB", "Netherlands",
                       ASType.HOSTING)
     geoip = GeoIPDatabase.from_address_space(space)
-    db = convert_to_sqlite(store.events(), Path("live-honeyfarm.sqlite"),
+    db = convert_to_sqlite(store.events, Path("live-honeyfarm.sqlite"),
                            geoip)
     profiles = load_ip_profiles(db)
     print("\n-- classification of the live traffic")

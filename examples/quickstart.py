@@ -17,17 +17,17 @@ from repro.core.loading import IpProfile
 from repro.honeypots import RedisHoneypot
 from repro.honeypots.base import MemoryWire, SessionContext
 from repro.netsim.clock import SimClock
-from repro.pipeline.logstore import LogStore
+from repro.pipeline.sinks import BufferSink
 
 
 def main() -> None:
     honeypot = RedisHoneypot("quickstart-redis", config="default")
-    store = LogStore()
+    store = BufferSink()
     clock = SimClock()
     attacker_ip = "203.0.113.66"
 
     def opener(target_key=None):
-        context = SessionContext(attacker_ip, 51234, clock, store.append)
+        context = SessionContext(attacker_ip, 51234, clock, store)
         return MemoryWire(honeypot, context)
 
     print(f"[*] attacking {honeypot.info.honeypot_id} from "

@@ -18,10 +18,10 @@ from repro.core.loading import IpProfile
 from repro.honeypots import MongoHoneypot
 from repro.honeypots.base import MemoryWire, SessionContext
 from repro.netsim.clock import SimClock
-from repro.pipeline.logstore import LogStore
+from repro.pipeline.sinks import BufferSink
 
 
-def profile_from(store: LogStore, ip: str) -> IpProfile:
+def profile_from(store: BufferSink, ip: str) -> IpProfile:
     profile = IpProfile(src_ip=ip, dbms="mongodb")
     for event in store:
         if event.src_ip != ip:
@@ -35,7 +35,7 @@ def profile_from(store: LogStore, ip: str) -> IpProfile:
 
 def main() -> None:
     honeypot = MongoHoneypot("demo-mongo", config="fake_data")
-    store = LogStore()
+    store = BufferSink()
     clock = SimClock()
     engine = honeypot.engine
 
@@ -50,7 +50,7 @@ def main() -> None:
     def attacker(ip):
         def opener(target_key=None):
             return MemoryWire(honeypot, SessionContext(
-                ip, 40000, clock, store.append))
+                ip, 40000, clock, store))
 
         return VisitContext(opener=opener, target_key="mongo",
                             rng=random.Random(ip))

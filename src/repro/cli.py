@@ -457,7 +457,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.honeypots.tcp import serve_honeypots
     from repro.netsim.clock import SimClock
     from repro.obs import live as obs_live
-    from repro.pipeline.logstore import LogStore
+    from repro.pipeline.sinks import BufferSink
     from repro.resilience import ServerSupervisor
 
     # A live farm is always instrumented: its registry feeds /metrics
@@ -467,7 +467,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     async def serve() -> None:
         clock = SimClock()
-        store = LogStore()
+        sink = BufferSink()
         seen = 0
         deadline = (time.monotonic() + args.duration
                     if args.duration > 0 else None)
@@ -481,7 +481,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             MongoHoneypot("serve-mongodb"),
         ]
         servers = await serve_honeypots(
-            honeypots, clock, store.append, host=args.host,
+            honeypots, clock, sink, host=args.host,
             port_base=args.port_base,
             idle_timeout=args.idle_timeout or None,
             max_session_bytes=args.max_session_bytes or None)
@@ -509,11 +509,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         try:
             while deadline is None or time.monotonic() < deadline:
                 await asyncio.sleep(0.5)
-                events = store.events()
-                for event in events[seen:]:
+                for event in sink.events[seen:]:
                     print(f"[{event.dbms}] {event.src_ip} "
                           f"{event.event_type} {event.action or ''}")
-                seen = len(events)
+                seen = len(sink)
         except asyncio.CancelledError:
             pass
         finally:
@@ -530,7 +529,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
                 snapshot = {
                     "kind": "repro.serve_snapshot",
-                    "events_captured": len(store.events()),
+                    "events_captured": len(sink),
                     "health": final_health,
                     "metrics": telemetry.metrics.snapshot(),
                 }

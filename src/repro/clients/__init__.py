@@ -8,8 +8,7 @@ against real sockets.
 """
 
 from repro.clients.wire import TcpWire, Wire, WireError
-from repro.clients.mysql_client import (MySQLClient,
-                                        MySQLQueryClient)
+from repro.clients.mysql_client import MySQLClient
 from repro.clients.postgres_client import PostgresClient
 from repro.clients.redis_client import RedisClient
 from repro.clients.mssql_client import MSSQLClient
@@ -21,7 +20,6 @@ __all__ = [
     "TcpWire",
     "WireError",
     "MySQLClient",
-    "MySQLQueryClient",
     "PostgresClient",
     "RedisClient",
     "MSSQLClient",

@@ -83,54 +83,3 @@ class MySQLClient:
             return self._reader.feed(data)
         except ProtocolError as exc:
             raise WireError(f"malformed server data: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class MysqlQueryResult:
-    """Outcome of one COM_QUERY."""
-
-    columns: list[str]
-    rows: list[list[str | None]]
-    ok: bool
-    error_message: str | None = None
-
-
-class MySQLQueryClient(MySQLClient):
-    """MySQL client with command-phase support (COM_QUERY / COM_PING).
-
-    Used against interactive MySQL servers (the medium-interaction
-    extension honeypot); query results come back as text-protocol rows.
-    """
-
-    def query(self, sql: str) -> MysqlQueryResult:
-        """Run one statement and collect its result."""
-        reply = self._wire.send(mysql.frame(mysql.build_com_query(sql),
-                                            0))
-        packets = self._feed(reply)
-        if not packets:
-            raise WireError("no reply to COM_QUERY")
-        first = packets[0][1]
-        if mysql.is_ok(first):
-            return MysqlQueryResult([], [], True)
-        if mysql.is_err(first):
-            err = mysql.parse_err(first)
-            return MysqlQueryResult([], [], False, err.message)
-        try:
-            columns, rows = mysql.parse_text_resultset(packets)
-        except ProtocolError as exc:
-            raise WireError(f"malformed result set: {exc}") from exc
-        return MysqlQueryResult(columns, rows, True)
-
-    def ping(self) -> bool:
-        """COM_PING; returns whether the server answered OK."""
-        reply = self._wire.send(mysql.frame(bytes([mysql.COM_PING]), 0))
-        packets = self._feed(reply)
-        return bool(packets) and mysql.is_ok(packets[0][1])
-
-    def quit(self) -> None:
-        """Send COM_QUIT and close."""
-        try:
-            self._wire.send(mysql.frame(bytes([mysql.COM_QUIT]), 0))
-        except WireError:
-            pass
-        self.close()

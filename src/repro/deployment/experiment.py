@@ -260,19 +260,23 @@ def _run_instrumented(config: ExperimentConfig, telemetry: obs.Telemetry,
                       resume_state: ResumeState | None = None
                       ) -> ExperimentResult:
     wall_start = time.perf_counter()
-    phases = telemetry.phases
-    span = telemetry.tracer.span
     logger = telemetry.logger
     logger.info("run.start", seed=config.seed, scale=config.volume_scale,
                 workers=config.workers,
                 output=str(config.output_dir))
 
-    with phases.phase("build_plan"):
-        plan = build_plan(config.seed)
-    with phases.phase("build_world"):
-        world = build_world(config.seed, config.volume_scale)
-    with phases.phase("compile_visits"):
-        schedule = compile_visits(world, plan, config.seed)
+    start = time.perf_counter()
+    plan = build_plan(config.seed)
+    planned = time.perf_counter()
+    world = build_world(config.seed, config.volume_scale)
+    built = time.perf_counter()
+    schedule = compile_visits(world, plan, config.seed)
+    # Phase wall times for the manifest's ``phases`` section.  They stay
+    # out of the registry: its counters ride the checkpoint deltas that
+    # a resume merges back, which would count these phases twice.
+    phases = {"build_plan": planned - start,
+              "build_world": built - planned,
+              "compile_visits": time.perf_counter() - built}
 
     output_dir = Path(config.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -327,7 +331,7 @@ def _run_instrumented(config: ExperimentConfig, telemetry: obs.Telemetry,
     try:
         return _run_replay(config, telemetry, run_id, plan, world,
                            schedule, engine, ops, output_dir,
-                           wall_start, live_server,
+                           wall_start, phases, live_server,
                            journal=journal, resume_state=resume_state)
     finally:
         if live_server is not None:
@@ -340,10 +344,9 @@ def _run_replay(config: ExperimentConfig, telemetry: obs.Telemetry,
                 run_id: str, plan: DeploymentPlan, world: World,
                 schedule, engine: ReplayEngine, ops: OpsOptions,
                 output_dir: Path, wall_start: float,
-                live_server, journal=None,
+                phases: dict[str, float], live_server, journal=None,
                 resume_state: ResumeState | None = None
                 ) -> ExperimentResult:
-    phases = telemetry.phases
     span = telemetry.tracer.span
     logger = telemetry.logger
     visits_total = len(schedule)
@@ -430,6 +433,7 @@ def _run_replay(config: ExperimentConfig, telemetry: obs.Telemetry,
     # outcome is "replay", feeding its events through the sinks is
     # "split" (for a sharded engine, "replay" is the wait for the
     # merge).
+    replay_s = split_s = 0.0
     mark = time.perf_counter()
     stream = iter(engine.replay(schedule, plan, config.seed, telemetry,
                                 ops))
@@ -444,7 +448,7 @@ def _run_replay(config: ExperimentConfig, telemetry: obs.Telemetry,
         while True:
             outcome = next(stream, _DONE)
             now = time.perf_counter()
-            phases.add("replay", now - mark)
+            replay_s += now - mark
             mark = now
             if outcome is _DONE:
                 break
@@ -480,7 +484,7 @@ def _run_replay(config: ExperimentConfig, telemetry: obs.Telemetry,
                     pipeline.many(event_batch)
                     event_batch.clear()
                 now = time.perf_counter()
-                phases.add("split", now - mark)
+                split_s += now - mark
             checkpointed = checkpointer is not None and \
                 checkpointer.maybe_checkpoint(
                     watermark=last_key, visits_done=visits_done,
@@ -524,33 +528,40 @@ def _run_replay(config: ExperimentConfig, telemetry: obs.Telemetry,
         start = time.perf_counter()
         pipeline.many(event_batch)
         event_batch.clear()
-        phases.add("split", time.perf_counter() - start)
+        split_s += time.perf_counter() - start
+    phases["replay"] = replay_s
+    phases["split"] = split_s
     if aggregator is not None:
         print_progress()
     dead_letters.close()
 
     raw_log_dir = None
     if raw_sink is not None:
-        with phases.phase("write_raw_logs"), span("write_raw_logs"):
+        start = time.perf_counter()
+        with span("write_raw_logs"):
             raw_sink.close()
             raw_log_dir = raw_sink.directory
+        phases["write_raw_logs"] = time.perf_counter() - start
     dataset_dir = None
     if dataset_buffer is not None:
-        with phases.phase("export_dataset"), span("export_dataset"):
+        start = time.perf_counter()
+        with span("export_dataset"):
             from repro.pipeline.dataset import export_dataset
 
             dataset_dir = output_dir / "dataset"
             export_dataset(dataset_buffer, dataset_dir)
+        phases["export_dataset"] = time.perf_counter() - start
 
     # Both writer threads have been converting since their first event;
     # "convert" is the time left waiting for them to finish.  Durable
     # writers run their final commit barrier inside close(), so the
     # journal's ``complete`` record below only ever under-claims.
-    with phases.phase("convert"):
-        with span("convert", tier="low"):
-            low_db = tier.low.close()
-        with span("convert", tier="midhigh"):
-            midhigh_db = tier.midhigh.close()
+    start = time.perf_counter()
+    with span("convert", tier="low"):
+        low_db = tier.low.close()
+    with span("convert", tier="midhigh"):
+        midhigh_db = tier.midhigh.close()
+    phases["convert"] = time.perf_counter() - start
 
     if checkpointer is not None:
         checkpointer.complete(
@@ -582,7 +593,7 @@ def _run_replay(config: ExperimentConfig, telemetry: obs.Telemetry,
                 resumed=result.resumed)
     if telemetry.enabled:
         wall_time = time.perf_counter() - wall_start
-        _finalize_report(config, telemetry, result, engine,
+        _finalize_report(config, telemetry, result, engine, phases,
                          event_counts=(counting.counts if counting
                                        else None),
                          split={"low": tier.low_count,
@@ -738,7 +749,7 @@ def _drop_partial_report(output_dir: Path) -> None:
 
 def _finalize_report(config: ExperimentConfig, telemetry: obs.Telemetry,
                      result: ExperimentResult, engine: ReplayEngine,
-                     event_counts: dict | None,
+                     phases: dict[str, float], event_counts: dict | None,
                      split: dict[str, int], bytes_io: dict[str, int],
                      wall_time: float, output_dir: Path,
                      run_id: str | None = None, live_server=None,
@@ -770,7 +781,7 @@ def _finalize_report(config: ExperimentConfig, telemetry: obs.Telemetry,
         "run_id": run_id,
         "config": _config_echo(config),
         "wall_time_seconds": wall_time,
-        "phases": telemetry.phases.as_dict(),
+        "phases": phases,
         "visits_total": result.visits_total,
         "events_total": result.events_total,
         "events_by_type": dict(event_counts.get("event_type", {})),

@@ -1,18 +1,22 @@
-"""Observability: metrics, spans, phase timers, and run manifests.
+"""Observability: metrics, spans, and run manifests.
 
 The subsystem is bundled behind one object, :class:`Telemetry`::
 
     telemetry = Telemetry(enabled=True)
     with obs.install(telemetry):          # visible via obs.current()
-        with telemetry.phases.phase("replay"):
-            with telemetry.tracer.span("replay.visit", actor=ip):
-                ...
+        with telemetry.tracer.span("replay.visit", actor=ip):
+            ...
         telemetry.metrics.inc("events", dbms="redis")
 
-Layers that are not handed a telemetry object explicitly (log store,
-clustering, converter) report into ``obs.current()``, which defaults to
-:data:`NULL_TELEMETRY` -- a bundle of no-op implementations -- so
-instrumentation is free unless a driver installs a live bundle.
+The experiment driver times its own phases (build, replay, split,
+convert, ...) into a plain ``{phase: seconds}`` dict that becomes the
+manifest's ``phases`` section; it stays out of the registry, whose
+counters ride checkpoint deltas and are merged back on resume.
+
+Layers that are not handed a telemetry object explicitly (raw-payload
+clipping, clustering, converter) report into ``obs.current()``, which
+defaults to :data:`NULL_TELEMETRY` -- a bundle of no-op implementations
+-- so instrumentation is free unless a driver installs a live bundle.
 """
 
 from __future__ import annotations
@@ -25,20 +29,18 @@ from repro.obs.flight import FlightRecorder, NullFlightRecorder
 from repro.obs.logging import NullOpsLogger, OpsLogger
 from repro.obs.metrics import (Histogram, MetricsRegistry,
                                NullMetricsRegistry)
-from repro.obs.timing import NullPhaseTimer, PhaseTimer, Stopwatch
 from repro.obs.tracing import NullTracer, Tracer
 
 __all__ = [
     "FlightRecorder", "Histogram", "MetricsRegistry",
     "NullFlightRecorder", "NullMetricsRegistry", "NullOpsLogger",
-    "NullPhaseTimer", "NullTracer", "OpsLogger", "PhaseTimer",
-    "Stopwatch", "Telemetry", "Tracer", "NULL_TELEMETRY", "current",
-    "install", "install_local",
+    "NullTracer", "OpsLogger", "Telemetry", "Tracer", "NULL_TELEMETRY",
+    "current", "install", "install_local",
 ]
 
 
 class Telemetry:
-    """One run's metrics registry + tracer + phase timer + ops plane.
+    """One run's metrics registry + tracer + ops plane.
 
     The operational half (structured :attr:`logger`, :attr:`flight`
     recorder) is wired so every log record lands in the flight ring
@@ -55,14 +57,12 @@ class Telemetry:
             self.flight: FlightRecorder = FlightRecorder(flight_capacity)
             self.tracer: Tracer | NullTracer = Tracer(
                 observer=self.flight.record_span)
-            self.phases: PhaseTimer = PhaseTimer()
             self.logger: OpsLogger = OpsLogger()
             self.logger.attach_recorder(self.flight.record)
         else:
             self.metrics = NullMetricsRegistry()
             self.flight = NullFlightRecorder()
             self.tracer = NullTracer()
-            self.phases = NullPhaseTimer()
             self.logger = NullOpsLogger()
 
     def __repr__(self) -> str:

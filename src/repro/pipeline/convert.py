@@ -46,7 +46,7 @@ from repro.netsim.geoip import GeoIPDatabase
 from repro.pipeline.enrich import (_FALLBACK, EnrichedEvent, enrich_events,
                                    enrich_iter)
 from repro.pipeline.institutional import InstitutionalScannerList
-from repro.pipeline.logstore import LogEvent
+from repro.pipeline.logstore import LogEvent, consolidated_group_name
 from repro.resilience import faults
 from repro.resilience.retry import sqlite_busy_retry
 
@@ -447,7 +447,7 @@ def group_counts(db_path: str | Path) -> dict[str, int]:
     connection = open_database(db_path)
     try:
         return {
-            f"{interaction}-{dbms}-{config}.jsonl": count
+            consolidated_group_name(interaction, dbms, config): count
             for interaction, dbms, config, count in connection.execute(
                 "SELECT interaction, dbms, config, COUNT(*) "
                 "FROM events GROUP BY interaction, dbms, config")}

@@ -7,10 +7,12 @@ The paper releases its raw honeypot logs with three transformations:
 * logs of all honeypots sharing a configuration are consolidated into a
   single file.
 
-:func:`export_dataset` applies the same transformations to a
-:class:`~repro.pipeline.logstore.LogStore` and writes the dataset
+:func:`export_dataset` applies the same transformations to any
+iterable of events (the driver hands it a
+:class:`~repro.pipeline.sinks.BufferSink`) and writes the dataset
 directory, including the README that documents the file/configuration
-correspondence.
+correspondence.  The consolidated file names are those of the raw logs
+(:func:`~repro.pipeline.logstore.consolidated_group_name`).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from repro.pipeline.logstore import LogEvent
+from repro.pipeline.logstore import LogEvent, consolidated_group_name
 
 #: Markers of honeypot startup / internal monitoring entries that the
 #: published dataset excludes.
@@ -71,8 +73,7 @@ def export_dataset(store: Iterable[LogEvent], directory: str | Path
     """Write the anonymized, consolidated dataset to ``directory``.
 
     ``store`` is any iterable of events -- a
-    :class:`~repro.pipeline.logstore.LogStore`, a
-    :class:`~repro.pipeline.sinks.BufferSink`, or a plain list.
+    :class:`~repro.pipeline.sinks.BufferSink` or a plain list.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -81,8 +82,8 @@ def export_dataset(store: Iterable[LogEvent], directory: str | Path
 
     groups: dict[str, list[dict]] = {}
     for row in rows:
-        name = (f"{row['interaction']}-{row['dbms']}-"
-                f"{row['config']}.jsonl")
+        name = consolidated_group_name(row["interaction"], row["dbms"],
+                                       row["config"])
         groups.setdefault(name, []).append(row)
 
     files = []

@@ -1,9 +1,11 @@
 """Structured honeypot log events.
 
 Each honeypot in the paper logs to its own ``.log``/``.json`` files; here
-every honeypot emits :class:`LogEvent` records into a :class:`LogStore`,
-which can persist them as JSON-lines files (the raw-log stage of the
-paper's pipeline) for conversion into SQLite.
+every honeypot emits :class:`LogEvent` records into an
+:data:`EventSink`.  The sinks in :mod:`repro.pipeline.sinks` collect
+them (``BufferSink``), persist them as consolidated JSON-lines files
+(``RawLogSink``, the raw-log stage of the paper's pipeline) and convert
+them into SQLite.
 """
 
 from __future__ import annotations
@@ -11,8 +13,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 from repro import obs
 
@@ -110,15 +111,19 @@ class LogEvent:
 EventSink = Callable[[LogEvent], None]
 
 
-def consolidated_group_name(event: LogEvent) -> str:
-    """The consolidated raw-log file an event belongs to.
+def consolidated_group_name(interaction: str, dbms: str,
+                            config: str) -> str:
+    """The consolidated raw-log file of one ``(interaction, dbms,
+    config)`` group.
 
-    One definition shared by :meth:`LogStore.write_consolidated` and the
-    streaming ``RawLogSink``: checkpoint/resume records committed byte
-    offsets *per group file name*, so the grouping must be identical no
-    matter which writer produced the file.
+    One definition shared by every writer and reader of the layout --
+    the streaming ``RawLogSink``, the dataset export, the converter's
+    per-group row counts and the audit: checkpoint/resume records
+    committed byte offsets *per group file name*, so all of them must
+    spell it identically.
     """
-    return f"{event.interaction}-{event.dbms}-{event.config}.jsonl"
+    return f"{interaction}-{dbms}-{config}.jsonl"
+
 
 #: Maximum stored length of the raw payload excerpt.
 MAX_RAW = 2048
@@ -151,100 +156,3 @@ def truncate_raw(raw: bytes | str | None) -> str | None:
                     raw_bytes - len(kept.encode("utf-8")))
         return kept
     return raw
-
-
-class LogStore:
-    """Collects events in memory and persists them as JSON lines.
-
-    The paper consolidates the logs of all honeypots sharing a
-    configuration into a single file; :meth:`write_consolidated` mirrors
-    that, grouping by ``(interaction, dbms, config)``.
-    """
-
-    def __init__(self) -> None:
-        self._events: list[LogEvent] = []
-        #: Lifetime append count -- unlike ``len()``, never reduced by
-        #: :meth:`drain_from`, so ``total_appended == len(store) +
-        #: quarantined`` is the store-level conservation invariant.
-        self.total_appended = 0
-        #: Malformed JSONL lines skipped by :meth:`read_consolidated`,
-        #: as ``{"path", "line", "raw"}`` records.
-        self.skipped_lines: list[dict] = []
-
-    def append(self, event: LogEvent) -> None:
-        """Record one event (usable directly as an :data:`EventSink`)."""
-        self._events.append(event)
-        self.total_appended += 1
-
-    def extend(self, events: Iterable[LogEvent]) -> None:
-        """Record many events."""
-        before = len(self._events)
-        self._events.extend(events)
-        self.total_appended += len(self._events) - before
-
-    def drain_from(self, start: int) -> list[LogEvent]:
-        """Remove and return every event from index ``start`` on.
-
-        Crash containment uses this to pull a quarantined visit's
-        events back out of the store; :attr:`total_appended` still
-        counts them as generated.
-        """
-        drained = self._events[start:]
-        del self._events[start:]
-        return drained
-
-    def events(self) -> list[LogEvent]:
-        """All recorded events, in arrival order."""
-        return list(self._events)
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self) -> Iterator[LogEvent]:
-        return iter(self._events)
-
-    def write_consolidated(self, directory: str | Path) -> list[Path]:
-        """Write one ``.jsonl`` file per (interaction, dbms, config).
-
-        Returns the paths written, sorted.
-        """
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        groups: dict[str, list[LogEvent]] = {}
-        for event in self._events:
-            groups.setdefault(consolidated_group_name(event),
-                              []).append(event)
-        paths = []
-        for name, events in sorted(groups.items()):
-            path = directory / name
-            with open(path, "w", encoding="utf-8") as handle:
-                for event in events:
-                    handle.write(event.to_json() + "\n")
-            paths.append(path)
-        return paths
-
-    @classmethod
-    def read_consolidated(cls, directory: str | Path) -> "LogStore":
-        """Load every ``.jsonl`` file under ``directory``.
-
-        Malformed lines (truncated writes, disk corruption) are skipped
-        and quarantined into :attr:`skipped_lines` -- counted as
-        ``logstore.malformed_lines`` in the installed metrics -- so one
-        damaged file never blocks converting the rest of a capture.
-        """
-        store = cls()
-        for path in sorted(Path(directory).glob("*.jsonl")):
-            with open(path, encoding="utf-8") as handle:
-                for lineno, line in enumerate(handle, 1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        store.append(LogEvent.from_json(line))
-                    except (TypeError, ValueError):
-                        store.skipped_lines.append(
-                            {"path": str(path), "line": lineno,
-                             "raw": line[:200]})
-                        obs.current().metrics.inc(
-                            "logstore.malformed_lines")
-        return store

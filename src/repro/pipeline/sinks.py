@@ -1,10 +1,8 @@
 """Composable event sinks: the streaming half of the pipeline.
 
 The paper's pipeline (Figure 1) is collection -> raw logs -> SQLite.
-The original driver ran it as separate fully-buffered passes: collect
-every event into a :class:`~repro.pipeline.logstore.LogStore`, re-walk
-it to split tiers, then convert each tier.  The sinks here let events
-flow through the whole pipeline *once*: a sink is any callable
+The sinks here let events flow through the whole pipeline *once*,
+without a fully-buffered pass per stage: a sink is any callable
 ``sink(event) -> None`` (the :data:`~repro.pipeline.logstore.EventSink`
 contract honeypot sessions already emit into), optionally with a
 ``close()`` finalizer, and sinks compose::
@@ -184,7 +182,11 @@ class CountingSink:
 
 
 class BufferSink:
-    """Collects events into a list (dataset export needs a full pass)."""
+    """Collects events into a list: the one in-memory collector.
+
+    The dataset export needs a full pass, and ``repro serve``, the
+    examples and the tests read the capture back from :attr:`events`.
+    """
 
     def __init__(self) -> None:
         self.events: list[LogEvent] = []
@@ -205,10 +207,11 @@ class BufferSink:
 class RawLogSink:
     """Streams consolidated JSONL raw logs (Figure 1, step 2).
 
-    Writes the same one-file-per-``(interaction, dbms, config)`` layout
-    as :meth:`LogStore.write_consolidated`, but incrementally: each
-    group's file handle opens on the group's first event and every
-    event is appended as it arrives.
+    Writes one file per ``(interaction, dbms, config)`` group, named
+    by :func:`~repro.pipeline.logstore.consolidated_group_name`, with
+    one :meth:`~repro.pipeline.logstore.LogEvent.to_json` line per
+    event in arrival order.  Each group's file handle opens on the
+    group's first event and every event is appended as it arrives.
 
     For checkpointed runs, :meth:`commit` fsyncs every open group file
     and reports committed byte offsets; ``resume={name: bytes}``
@@ -226,7 +229,8 @@ class RawLogSink:
         self._append = resume is not None
 
     def __call__(self, event: LogEvent) -> None:
-        name = consolidated_group_name(event)
+        name = consolidated_group_name(event.interaction, event.dbms,
+                                       event.config)
         handle = self._handles.get(name)
         if handle is None:
             handle = self._handles[name] = open(

@@ -265,12 +265,6 @@ def parse_clear_password(payload: bytes) -> str:
     return payload.rstrip(b"\x00").decode("utf-8", "replace")
 
 
-def build_ok(affected_rows: int = 0) -> bytes:
-    """Encode an OK packet payload."""
-    return (b"\x00" + _lenenc_int(affected_rows) + _lenenc_int(0)
-            + struct.pack("<HH", 0x0002, 0))
-
-
 def build_err(code: int, sql_state: str, message: str) -> bytes:
     """Encode an ERR packet payload."""
     if len(sql_state) != 5:
@@ -313,161 +307,3 @@ def is_err(payload: bytes) -> bool:
 def is_auth_switch(payload: bytes) -> bool:
     """Whether ``payload`` is an AuthSwitchRequest."""
     return bool(payload) and payload[0] == 0xFE
-
-
-# Command-phase opcodes (COM_*).
-COM_QUIT = 0x01
-COM_QUERY = 0x03
-COM_PING = 0x0E
-
-
-def build_com_query(sql: str) -> bytes:
-    """Encode a COM_QUERY command payload."""
-    return bytes([COM_QUERY]) + sql.encode()
-
-
-def parse_command(payload: bytes) -> tuple[int, bytes]:
-    """Split a command-phase packet into (opcode, argument)."""
-    if not payload:
-        raise ProtocolError("empty command packet")
-    return payload[0], payload[1:]
-
-
-def build_column_definition(name: str, sequence_id: int) -> bytes:
-    """Encode a ColumnDefinition41 packet (text protocol, VARCHAR)."""
-    payload = bytearray()
-    for part in (b"def", b"", b"", b"", name.encode(), b""):
-        payload += _lenenc_str(part)
-    payload += bytes([0x0C])               # fixed-length fields marker
-    payload += struct.pack("<H", 0xFF)     # charset
-    payload += struct.pack("<I", 255)      # column length
-    payload += bytes([0xFD])               # type: VAR_STRING
-    payload += struct.pack("<H", 0)        # flags
-    payload += bytes([0])                  # decimals
-    payload += b"\x00\x00"                 # filler
-    return frame(bytes(payload), sequence_id)
-
-
-def build_text_row(values: list[str | None], sequence_id: int) -> bytes:
-    """Encode one text-protocol result row."""
-    payload = bytearray()
-    for value in values:
-        if value is None:
-            payload += b"\xfb"
-        else:
-            payload += _lenenc_str(value.encode())
-    return frame(bytes(payload), sequence_id)
-
-
-def build_eof(sequence_id: int) -> bytes:
-    """Encode an EOF packet (classic, non-deprecated form)."""
-    return frame(b"\xfe\x00\x00\x02\x00", sequence_id)
-
-
-def build_text_resultset(columns: list[str],
-                         rows: list[list[str | None]],
-                         first_sequence_id: int = 1) -> bytes:
-    """Encode a complete text-protocol result set.
-
-    Column count packet, column definitions, EOF, rows, EOF -- the
-    classic (pre-CLIENT_DEPRECATE_EOF) layout.
-    """
-    sequence_id = first_sequence_id
-    out = bytearray(frame(_lenenc_int(len(columns)), sequence_id))
-    sequence_id += 1
-    for name in columns:
-        out += build_column_definition(name, sequence_id)
-        sequence_id += 1
-    out += build_eof(sequence_id)
-    sequence_id += 1
-    for row in rows:
-        out += build_text_row(row, sequence_id)
-        sequence_id += 1
-    out += build_eof(sequence_id)
-    return bytes(out)
-
-
-def parse_text_resultset(packets: list[tuple[int, bytes]]
-                         ) -> tuple[list[str], list[list[str | None]]]:
-    """Decode a text-protocol result set from its framed packets."""
-    if not packets:
-        raise ProtocolError("empty result set")
-    count, _ = _read_lenenc_int(packets[0][1], 0)
-    columns = []
-    index = 1
-    for _ in range(count):
-        columns.append(_parse_column_name(packets[index][1]))
-        index += 1
-    if packets[index][1][:1] != b"\xfe":
-        raise ProtocolError("expected EOF after column definitions")
-    index += 1
-    rows = []
-    while index < len(packets) and packets[index][1][:1] != b"\xfe":
-        rows.append(_parse_text_row(packets[index][1], count))
-        index += 1
-    return columns, rows
-
-
-def _parse_column_name(payload: bytes) -> str:
-    offset = 0
-    fields = []
-    for _ in range(5):
-        value, offset = _read_lenenc_str(payload, offset)
-        fields.append(value)
-    return fields[4].decode("utf-8", "replace")
-
-
-def _parse_text_row(payload: bytes, count: int) -> list[str | None]:
-    values: list[str | None] = []
-    offset = 0
-    for _ in range(count):
-        if payload[offset:offset + 1] == b"\xfb":
-            values.append(None)
-            offset += 1
-        else:
-            raw, offset = _read_lenenc_str(payload, offset)
-            values.append(raw.decode("utf-8", "replace"))
-    return values
-
-
-def _lenenc_str(value: bytes) -> bytes:
-    return _lenenc_int(len(value)) + value
-
-
-def _read_lenenc_int(payload: bytes, offset: int) -> tuple[int, int]:
-    if offset >= len(payload):
-        raise ProtocolError("truncated length-encoded integer")
-    first = payload[offset]
-    if first < 0xFB:
-        return first, offset + 1
-    if first == 0xFC:
-        return int.from_bytes(payload[offset + 1:offset + 3],
-                              "little"), offset + 3
-    if first == 0xFD:
-        return int.from_bytes(payload[offset + 1:offset + 4],
-                              "little"), offset + 4
-    if first == 0xFE:
-        return int.from_bytes(payload[offset + 1:offset + 9],
-                              "little"), offset + 9
-    raise ProtocolError(f"invalid length-encoded integer {first:#x}")
-
-
-def _read_lenenc_str(payload: bytes, offset: int) -> tuple[bytes, int]:
-    length, offset = _read_lenenc_int(payload, offset)
-    end = offset + length
-    if end > len(payload):
-        raise ProtocolError("truncated length-encoded string")
-    return payload[offset:end], end
-
-
-def _lenenc_int(value: int) -> bytes:
-    """Encode a length-encoded integer."""
-    if value < 0:
-        raise ValueError("length-encoded integers are unsigned")
-    if value < 0xFB:
-        return bytes([value])
-    if value <= 0xFFFF:
-        return b"\xfc" + struct.pack("<H", value)
-    if value <= 0xFFFFFF:
-        return b"\xfd" + struct.pack("<I", value)[:3]
-    return b"\xfe" + struct.pack("<Q", value)

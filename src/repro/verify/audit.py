@@ -32,7 +32,8 @@ from repro import obs
 from repro.obs import report as obs_report
 from repro.pipeline.convert import (count_events, group_counts,
                                     open_database, prefix_digest)
-from repro.pipeline.logstore import MAX_RAW, LogEvent
+from repro.pipeline.logstore import (MAX_RAW, LogEvent,
+                                     consolidated_group_name)
 from repro.resilience.deadletter import read_dead_letters
 from repro.runtime import journal as run_journal
 from repro.verify.findings import Finding
@@ -319,8 +320,8 @@ def _audit_raw_order_tier(result: AuditResult, tier: str,
         for row in connection.execute(
                 f"SELECT {', '.join(_EVENT_FIELDS)} FROM events "
                 f"ORDER BY id"):
-            name = f"{row['interaction']}-{row['dbms']}-" \
-                   f"{row['config']}.jsonl"
+            name = consolidated_group_name(
+                row["interaction"], row["dbms"], row["config"])
             db_groups.setdefault(name, []).append(
                 tuple(row[fieldname] for fieldname in _EVENT_FIELDS))
     finally:

@@ -12,7 +12,7 @@ import pytest
 from repro.deployment import ExperimentConfig, run_experiment
 from repro.honeypots.base import SessionContext
 from repro.netsim.clock import SimClock
-from repro.pipeline.logstore import LogStore
+from repro.pipeline.sinks import BufferSink
 
 
 @pytest.fixture
@@ -21,14 +21,14 @@ def clock() -> SimClock:
 
 
 @pytest.fixture
-def log_store() -> LogStore:
-    return LogStore()
+def log_store() -> BufferSink:
+    return BufferSink()
 
 
 @pytest.fixture
 def session_context(clock, log_store) -> SessionContext:
     return SessionContext(src_ip="203.0.113.7", src_port=40000,
-                          clock=clock, sink=log_store.append)
+                          clock=clock, sink=log_store)
 
 
 @pytest.fixture(scope="session")

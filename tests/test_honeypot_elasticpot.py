@@ -150,10 +150,10 @@ def test_custom_templates():
     honeypot = Elasticpot("hp", templates={"/custom": {"hello": "world"}})
     from repro.honeypots.base import SessionContext
     from repro.netsim.clock import SimClock
-    from repro.pipeline.logstore import LogStore
+    from repro.pipeline.sinks import BufferSink
 
-    store = LogStore()
-    context = SessionContext("1.2.3.4", 1, SimClock(), store.append)
+    store = BufferSink()
+    context = SessionContext("1.2.3.4", 1, SimClock(), store)
     wire = MemoryWire(honeypot, context)
     wire.connect()
     body = json.loads(get(wire, "/custom").body)

@@ -74,7 +74,7 @@ class TestDecoyData:
         wire1 = MemoryWire(first, session_context)
         wire1.connect()
         msg(wire1, 1, {"dropDatabase": 1, "$db": DECOY_DATABASE})
-        context = SessionContext("2.2.2.2", 2, clock, log_store.append)
+        context = SessionContext("2.2.2.2", 2, clock, log_store)
         wire2 = MemoryWire(second, context)
         wire2.connect()
         reply = msg(wire2, 1, {"listDatabases": 1, "$db": "admin"})

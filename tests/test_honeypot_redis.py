@@ -164,7 +164,7 @@ class TestConfigurations:
         wire1.send(resp.encode_command("SET", "persist", "yes"))
         wire1.close()
         context2 = SessionContext("198.51.100.9", 1234, clock,
-                                  log_store.append)
+                                  log_store)
         wire2 = MemoryWire(honeypot, context2)
         wire2.connect()
         assert decode(wire2.send(resp.encode_command("GET", "persist"))

@@ -16,11 +16,8 @@ from repro.honeypots import (Elasticpot, LowInteractionMSSQL,
                              LowInteractionRedis, MongoHoneypot,
                              RedisHoneypot, StickyElephant)
 from repro.honeypots.base import SessionContext
-from repro.honeypots.extensions import (CockroachHoneypot,
-                                        CouchDBHoneypot,
-                                        LowInteractionMariaDB)
 from repro.netsim.clock import SimClock
-from repro.pipeline.logstore import LogStore
+from repro.pipeline.sinks import BufferSink
 
 FACTORIES = [
     lambda: LowInteractionMySQL("fuzz"),
@@ -31,16 +28,13 @@ FACTORIES = [
     lambda: StickyElephant("fuzz"),
     lambda: Elasticpot("fuzz"),
     lambda: MongoHoneypot("fuzz", config="default"),
-    lambda: LowInteractionMariaDB("fuzz"),
-    lambda: CockroachHoneypot("fuzz"),
-    lambda: CouchDBHoneypot("fuzz"),
 ]
 
 
 def drive(factory, chunks):
-    store = LogStore()
+    store = BufferSink()
     context = SessionContext("203.0.113.1", 1234, SimClock(),
-                             store.append)
+                             store)
     session = factory().new_session(context)
     greeting = session.connect()
     assert isinstance(greeting, bytes)

@@ -19,16 +19,16 @@ from repro.honeypots import (Elasticpot, LowInteractionMSSQL,
                              RedisHoneypot, StickyElephant)
 from repro.honeypots.tcp import TcpHoneypotServer
 from repro.netsim.clock import SimClock
-from repro.pipeline.logstore import LogStore
+from repro.pipeline.sinks import BufferSink
 
 
 class ServerHarness:
     """Runs one TCP honeypot server on a background event loop."""
 
     def __init__(self, honeypot):
-        self.store = LogStore()
+        self.store = BufferSink()
         self.server = TcpHoneypotServer(honeypot, SimClock(),
-                                        self.store.append)
+                                        self.store)
         self.loop = asyncio.new_event_loop()
         self.thread = threading.Thread(target=self.loop.run_forever,
                                        daemon=True)
@@ -138,10 +138,10 @@ def test_serve_honeypots_port_base_assigns_sequential_ports():
     probe.close()
 
     async def scenario():
-        store = LogStore()
+        store = BufferSink()
         servers = await serve_honeypots(
             [RedisHoneypot("pb-redis"), Elasticpot("pb-es")],
-            SimClock(), store.append, port_base=base)
+            SimClock(), store, port_base=base)
         try:
             return [server.port for server in servers]
         finally:

@@ -15,7 +15,7 @@ from repro.netsim.clock import SimClock
 from repro.obs.live import LiveOpsServer
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NullTracer, Tracer
-from repro.pipeline.logstore import LogStore
+from repro.pipeline.sinks import BufferSink
 from repro.resilience import ServerSupervisor
 
 
@@ -154,9 +154,9 @@ class TestSupervisorHealth:
     def test_live_farm_end_to_end(self):
         async def scenario():
             clock = SimClock()
-            store = LogStore()
+            store = BufferSink()
             servers = await serve_honeypots(
-                [RedisHoneypot("hp-live")], clock, store.append)
+                [RedisHoneypot("hp-live")], clock, store)
             supervisor = ServerSupervisor(servers)
             try:
                 health = supervisor.health()

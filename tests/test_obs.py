@@ -1,5 +1,5 @@
-"""Tests for the observability layer: metrics registry, tracer, phase
-timers, manifest round-trip, and the instrumented experiment driver."""
+"""Tests for the observability layer: metrics registry, tracer,
+manifest round-trip, and the instrumented experiment driver."""
 
 import json
 import sys
@@ -11,7 +11,6 @@ import pytest
 from repro import obs
 from repro.obs import report as obs_report
 from repro.obs.metrics import MetricsRegistry, NullMetricsRegistry
-from repro.obs.timing import NullPhaseTimer, PhaseTimer, Stopwatch
 from repro.obs.tracing import NullTracer, Tracer
 
 GOLDEN_TRACE = Path(__file__).parent / "data" / "trace_golden.json"
@@ -190,39 +189,6 @@ class TestTracer:
         assert tracer.spans == []
         chrome = tracer.export_chrome(tmp_path / "t.json")
         assert json.loads(chrome.read_text())["traceEvents"] == []
-
-
-class TestPhaseTimer:
-    def test_phases_accumulate(self):
-        timer = PhaseTimer(clock=FakeClock())
-        with timer.phase("a"):  # 0 -> 1
-            pass
-        with timer.phase("b"):  # 2 -> 3
-            pass
-        with timer.phase("a"):  # 4 -> 5
-            pass
-        assert timer.as_dict() == {"a": 2.0, "b": 1.0}
-        assert timer.total() == 3.0
-
-    def test_insertion_order_preserved(self):
-        timer = PhaseTimer(clock=FakeClock())
-        for name in ("build", "replay", "convert"):
-            with timer.phase(name):
-                pass
-        assert list(timer.as_dict()) == ["build", "replay", "convert"]
-
-    def test_null_timer_is_empty(self):
-        timer = NullPhaseTimer()
-        with timer.phase("a"):
-            pass
-        timer.add("b", 5.0)
-        assert timer.as_dict() == {}
-        assert timer.total() == 0.0
-
-    def test_stopwatch(self):
-        with Stopwatch(clock=FakeClock()) as watch:
-            pass
-        assert watch.elapsed == 1.0
 
 
 class TestInstallation:

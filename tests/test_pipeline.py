@@ -1,4 +1,4 @@
-"""Tests for the log store, conversion and enrichment pipeline."""
+"""Tests for log events, conversion and the enrichment pipeline."""
 
 import pytest
 
@@ -9,8 +9,8 @@ from repro.pipeline.convert import (convert_to_sqlite, count_events,
                                     open_database, read_events)
 from repro.pipeline.enrich import enrich_events
 from repro.pipeline.institutional import InstitutionalScannerList
-from repro.pipeline.logstore import (MAX_RAW, LogEvent, LogStore,
-                                     truncate_raw)
+from repro.pipeline.logstore import MAX_RAW, LogEvent, truncate_raw
+from repro.pipeline.sinks import RawLogSink
 
 
 def make_event(**overrides) -> LogEvent:
@@ -45,18 +45,6 @@ class TestLogStore:
         event = make_event(raw="päylöad ☃")
         assert LogEvent.from_json(event.to_json()).raw == "päylöad ☃"
 
-    def test_consolidated_write_read(self, tmp_path):
-        store = LogStore()
-        store.append(make_event())
-        store.append(make_event(dbms="redis", interaction="medium",
-                                config="default"))
-        store.append(make_event())
-        paths = store.write_consolidated(tmp_path)
-        assert [p.name for p in paths] == [
-            "low-mysql-multi.jsonl", "medium-redis-default.jsonl"]
-        loaded = LogStore.read_consolidated(tmp_path)
-        assert len(loaded) == 3
-
     def test_truncate_raw(self):
         assert truncate_raw(None) is None
         assert truncate_raw(b"\xff\xfe") == "��"
@@ -70,11 +58,13 @@ class TestLogStore:
             make_event(event_type="query", action="KEYS", username=None,
                        password=None, raw=None, src_port=1),
         ]
-        store = LogStore()
-        store.extend(events)
-        store.write_consolidated(tmp_path)
-        loaded = LogStore.read_consolidated(tmp_path)
-        assert loaded.events() == events
+        sink = RawLogSink(tmp_path)
+        for event in events:
+            sink(event)
+        [path] = sink.close()
+        loaded = [LogEvent.from_json(line) for line in
+                  path.read_text(encoding="utf-8").splitlines()]
+        assert loaded == events
 
     def test_truncate_raw_str_passthrough_below_limit(self):
         assert truncate_raw("short") == "short"
@@ -93,40 +83,6 @@ class TestLogStore:
         assert decoded == "��ok�"
         long_bad = b"\xff" * (MAX_RAW + 10)
         assert truncate_raw(long_bad) == "�" * MAX_RAW
-
-    def test_read_consolidated_skips_malformed_lines(self, tmp_path):
-        from repro import obs
-
-        store = LogStore()
-        store.append(make_event())
-        store.append(make_event(src_port=5556))
-        [path] = store.write_consolidated(tmp_path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        lines.insert(1, "{not json at all")
-        lines.insert(2, '{"valid_json": "but not a LogEvent"}')
-        lines.append("")  # blank lines are fine, not malformed
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-        telemetry = obs.Telemetry(enabled=True)
-        with obs.install(telemetry):
-            loaded = LogStore.read_consolidated(tmp_path)
-        # Both good events survive; both bad lines are counted, with
-        # enough context to find them again.
-        assert len(loaded) == 2
-        assert len(loaded.skipped_lines) == 2
-        assert {s["line"] for s in loaded.skipped_lines} == {2, 3}
-        assert all(s["path"].endswith(".jsonl")
-                   for s in loaded.skipped_lines)
-        assert telemetry.metrics.counter_value(
-            "logstore.malformed_lines") == 2
-
-    def test_drain_from_keeps_total_appended(self):
-        store = LogStore()
-        store.extend([make_event(src_port=p) for p in range(4)])
-        drained = store.drain_from(2)
-        assert len(drained) == 2
-        assert len(store) == 2
-        assert store.total_appended == 4
 
     def test_truncation_is_counted_when_telemetry_installed(self):
         from repro import obs

@@ -6,7 +6,7 @@ import pytest
 
 from repro.pipeline.dataset import (anonymize_hosts, export_dataset,
                                     is_internal, load_dataset)
-from repro.pipeline.logstore import LogEvent, LogStore
+from repro.pipeline.logstore import LogEvent
 
 
 def make_event(**overrides) -> LogEvent:
@@ -44,7 +44,7 @@ class TestInternalFiltering:
 
 class TestExport:
     def test_export_and_reload(self, tmp_path):
-        store = LogStore()
+        store = []
         store.append(make_event())
         store.append(make_event(dbms="redis", interaction="medium",
                                 config="default",
@@ -62,7 +62,7 @@ class TestExport:
                    for record in records)
 
     def test_readme_documents_files(self, tmp_path):
-        store = LogStore()
+        store = []
         store.append(make_event())
         manifest = export_dataset(store, tmp_path / "d")
         readme = (manifest.directory / "README.md").read_text()
@@ -70,7 +70,7 @@ class TestExport:
         assert "192.168.0.x" in readme
 
     def test_consolidation_merges_same_config(self, tmp_path):
-        store = LogStore()
+        store = []
         for instance in range(5):
             store.append(make_event(
                 honeypot_id=f"low-mysql-multi-{instance:02d}"))
@@ -83,7 +83,7 @@ class TestExport:
         assert len({record["dest_ip"] for record in records}) == 5
 
     def test_records_are_valid_json_lines(self, tmp_path):
-        store = LogStore()
+        store = []
         store.append(make_event(raw='payload with "quotes" and ünïcode'))
         manifest = export_dataset(store, tmp_path / "d")
         path = manifest.directory / "low-mysql-multi.jsonl"
@@ -95,7 +95,7 @@ class TestExport:
         # an experiment run (rebuilt from the low DB for brevity).
         from repro.pipeline.convert import read_events
 
-        store = LogStore()
+        store = []
         for row in list(read_events(small_experiment.low_db))[:500]:
             store.append(make_event(
                 timestamp=row["timestamp"], dbms=row["dbms"],

@@ -12,7 +12,7 @@ from repro.honeypots import RedisHoneypot
 from repro.honeypots.base import Honeypot, HoneypotSession
 from repro.honeypots.tcp import TcpHoneypotServer, serve_honeypots
 from repro.netsim.clock import SimClock
-from repro.pipeline.logstore import LogStore
+from repro.pipeline.sinks import BufferSink
 from repro.resilience import (ServerSupervisor, SupervisorPolicy,
                               abrupt_reset, flood, slow_loris)
 
@@ -35,8 +35,8 @@ def run(coro):
 
 
 async def start_server(honeypot, **kwargs):
-    store = LogStore()
-    server = TcpHoneypotServer(honeypot, SimClock(), store.append,
+    store = BufferSink()
+    server = TcpHoneypotServer(honeypot, SimClock(), store,
                                **kwargs)
     await server.start()
     return server, store
@@ -189,11 +189,11 @@ class TestServeHoneypotsCleanup:
             blocker.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             blocker.bind(("127.0.0.1", base + 1))
             blocker.listen(1)
-            store = LogStore()
+            store = BufferSink()
             with pytest.raises(OSError):
                 await serve_honeypots(
                     [RedisHoneypot("a"), RedisHoneypot("b")],
-                    SimClock(), store.append, port_base=base)
+                    SimClock(), store, port_base=base)
             blocker.close()
             # The first server's port must have been released.
             probe = socket.socket()

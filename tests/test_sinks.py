@@ -9,7 +9,7 @@ from repro.netsim.asdb import ASType
 from repro.netsim.geoip import GeoIPDatabase
 from repro.pipeline.convert import count_events, read_events
 from repro.pipeline.institutional import InstitutionalScannerList
-from repro.pipeline.logstore import LogEvent, LogStore
+from repro.pipeline.logstore import LogEvent
 from repro.pipeline.sinks import (BufferSink, CountingSink,
                                   EventSinkProtocol, RawLogSink,
                                   SQLiteWriterSink, TeeSink, TierSplitSink,
@@ -36,7 +36,7 @@ def world():
 
 class TestBasicSinks:
     def test_plain_callable_satisfies_protocol(self):
-        assert isinstance(LogStore().append, EventSinkProtocol)
+        assert isinstance(BufferSink(), EventSinkProtocol)
 
     def test_close_sink_tolerates_closeless_sinks(self):
         events = []
@@ -101,17 +101,18 @@ class TestRawLogSink:
                   make_event(dbms="redis", interaction="medium",
                              config="default"),
                   make_event(src_port=6000)]
-        store = LogStore()
-        sink = RawLogSink(tmp_path / "streamed")
+        sink = RawLogSink(tmp_path)
         for event in events:
-            store.append(event)
             sink(event)
-        store_paths = store.write_consolidated(tmp_path / "buffered")
-        sink_paths = sink.close()
-        assert [p.name for p in sink_paths] == \
-            [p.name for p in store_paths]
-        for streamed, buffered in zip(sink_paths, store_paths):
-            assert streamed.read_text() == buffered.read_text()
+        paths = sink.close()
+        # One file per (interaction, dbms, config), one to_json() line
+        # per event, in arrival order.
+        expected = {"low-mysql-multi.jsonl": [events[0], events[2]],
+                    "medium-redis-default.jsonl": [events[1]]}
+        assert [p.name for p in paths] == sorted(expected)
+        for path in paths:
+            assert path.read_text(encoding="utf-8") == "".join(
+                event.to_json() + "\n" for event in expected[path.name])
 
     def test_close_is_resettable(self, tmp_path):
         sink = RawLogSink(tmp_path)
