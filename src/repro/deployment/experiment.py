@@ -507,7 +507,7 @@ def _run_replay(config: ExperimentConfig, telemetry: obs.Telemetry,
             mark = time.perf_counter()
     except BaseException:
         # Stop the engine's workers before anything else: a sharded
-        # stream left open would keep them replaying into a queue
+        # stream left open would keep them replaying into pipes
         # nobody reads.  A failure while stopping them must not replace
         # the original error or skip the abort below.
         try:

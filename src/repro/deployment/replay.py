@@ -35,42 +35,43 @@ with both sides pinned, shard assignment cannot change any visit's
 outcome and the merged stream is element-for-element the serial
 stream.
 
-Workers prefer a ``fork``-context process pool (each worker inherits
-the already-built plan and schedule copy-on-write, replays its shard,
-and streams its outcomes back); where ``fork`` is unavailable the engine
-falls back to threads, whose per-shard runtime contexts install
-thread-locally (see :mod:`repro.runtime`).  A fork worker whose driver
-process is gone (e.g. SIGKILLed) exits on its own.
+Each shard gets one worker and one pipe.  Workers prefer ``fork``
+processes (each inherits the already-built plan and schedule
+copy-on-write, replays its shard, and streams its outcomes back); where
+``fork`` is unavailable the engine falls back to threads, whose
+per-shard runtime contexts install thread-locally (see
+:mod:`repro.runtime`).  Only worker *k* holds the write end of pipe
+*k*, and only the driver its read end, so a worker that dies (even
+mid-message) gives the driver end-of-file, and a driver that dies or
+stops reading gives each worker a broken pipe on its next send.
 
-One queue carries everything a worker tells the driver:
-``(shard, outcomes, delta, final)`` messages.  With live telemetry
-``delta`` is the worker registry's change since its previous delta (at
-most one per ``emit_interval``, and always one on the last message);
-the driver's merge loop folds it into the live aggregate and takes
-each shard's progress from the outcomes it receives.  ``final`` is set
-on the shard's last message only: its wall time and runtime report
-(metrics, fault counters, spans), which the driver absorbs at the end.
+Every message a worker sends is one ``(shard, outcomes, delta,
+final)`` tuple.  With live telemetry ``delta`` is the worker
+registry's change since its previous delta (at most one per
+``emit_interval``, and always one on the last message); the driver's
+merge loop folds it into the live aggregate and takes each shard's
+progress from the outcomes it receives.  ``final`` is set on the
+shard's last message only: its wall time and runtime report (metrics,
+fault counters, spans), which the driver absorbs at the end.
 """
 
 from __future__ import annotations
 
 import contextlib
 import multiprocessing
+import multiprocessing.connection
 import os
-import queue as queue_module
 import random
 import signal
 import sys
 import threading
 import time
+import traceback
 import zlib
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from datetime import timedelta
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Callable, Iterator, Sequence
 
 from repro import obs
@@ -96,10 +97,11 @@ __all__ = [
 class WorkerLostError(RuntimeError):
     """A shard worker process died mid-replay (e.g. SIGKILL).
 
-    Raised by the driver-side merge instead of the raw
-    ``BrokenProcessPool`` so callers (``repro chaos`` auto-recovery,
+    Raised by the driver-side merge when a shard's pipe ends before the
+    shard's last message, so callers (``repro chaos`` auto-recovery,
     tests) can distinguish "a worker was killed -- resume" from a
-    programming error.
+    programming error (which the driver re-raises as a plain
+    ``RuntimeError`` naming the shard).
     """
 
 #: One schedule entry: (time offset, actor IP, per-actor sequence, visit).
@@ -325,7 +327,7 @@ def _visits(plan: DeploymentPlan, schedule: Sequence[ScheduledVisit],
     """The per-visit loop shared by serial replay and every shard.
 
     Visits at or below ``watermark`` fast-forward; with ``kill_plan``
-    (the victim shard of a fork pool) the ``proc.kill`` site is drawn
+    (the victim shard of a fork replay) the ``proc.kill`` site is drawn
     before each live visit.
     """
     clock = SimClock()
@@ -391,28 +393,23 @@ def _fast_forward_visit(plan: DeploymentPlan, clock: SimClock, seed: int,
 
 
 #: A shard ships its outcomes in lists of up to this many, and at
-#: least every ``_FLUSH_SECONDS``: one queue message per outcome costs
-#: the workers and the driver measurably more pickling and pipe work.
+#: least every ``_FLUSH_SECONDS``: one message per outcome costs the
+#: workers and the driver measurably more pickling and pipe work.
 _OUTCOME_BATCH = 64
 _FLUSH_SECONDS = 0.05
 
-#: Argument tuple of :func:`_replay_shard` (minus the shard index) for
-#: fork-pool workers, set by the parent immediately before the pool is
-#: created (workers inherit it copy-on-write).
-_FORK_STATE: tuple | None = None
 
-
-def _replay_shard(shard: int, plan: DeploymentPlan,
-                  shards: Sequence[Sequence[ScheduledVisit]], seed: int,
+def _replay_shard(shard: int, schedule: Sequence[ScheduledVisit],
+                  victim: bool, plan: DeploymentPlan, seed: int,
                   telemetry_enabled: bool, fault_payload: dict | None,
-                  ops: OpsOptions, outcome_queue, stop, *,
-                  forked: bool = False) -> None:
+                  ops: OpsOptions, writer) -> None:
     """Replay one shard under its own thread-local runtime context.
 
     Outcomes are shipped to the driver as they replay, in small
-    ``(shard, outcomes, delta, final)`` messages (see the module
-    docstring).  A set ``stop`` flag (the driver gave up early) ends
-    the shard after the current visit.
+    ``(shard, outcomes, delta, final)`` messages on the shard's own
+    pipe (see the module docstring).  A send that finds the pipe broken
+    (the driver gave up early, or died) ends the shard quietly.  The
+    ``victim`` shard draws the ``proc.kill`` site before each visit.
     """
     context = worker_context(telemetry_enabled, fault_payload,
                              tracing=ops.trace_shards and telemetry_enabled)
@@ -429,122 +426,73 @@ def _replay_shard(shard: int, plan: DeploymentPlan,
                    else None)
     watermark = (tuple(ops.watermark) if ops.watermark is not None
                  else None)
-    schedule = shards[shard]
     batch: list[VisitOutcome] = []
     flushed = start
     with context.activate_local(), obs_logging.bind(**correlation):
-        shard_plan = faults.current()
-        kill_plan = None
-        # ``proc.kill`` evaluates only in forked workers (a thread
-        # "worker" is the driver -- killing it is not a recoverable
-        # chaos scenario).  Every worker derives the same seeded victim;
-        # only the victim shard ever evaluates the site, so the kill
-        # point is reproducible and exactly one worker dies.
-        if forked and "proc.kill" in shard_plan.sites and \
-                random.Random(f"{shard_plan.seed}:proc.kill:victim"
-                              ).randrange(len(shards)) == shard:
-            kill_plan = shard_plan
+        kill_plan = faults.current() if victim else None
         logger = telemetry.logger
         logger.info("shard.start", visits=len(schedule),
                     resuming=watermark is not None)
         with (telemetry.flight.armed(flight_path) if flight_path
               else contextlib.nullcontext()):
-            for outcome in _visits(plan, schedule, seed,
-                                   telemetry.tracer.span, watermark,
-                                   kill_plan):
-                if outcome.failure is not None and not outcome.committed:
-                    logger.warning("visit.quarantined",
-                                   actor=outcome.actor_ip,
-                                   seq=outcome.sequence,
-                                   target=outcome.target_key,
-                                   failure=outcome.failure)
-                batch.append(outcome)
+            try:
+                for outcome in _visits(plan, schedule, seed,
+                                       telemetry.tracer.span, watermark,
+                                       kill_plan):
+                    if outcome.failure is not None and \
+                            not outcome.committed:
+                        logger.warning("visit.quarantined",
+                                       actor=outcome.actor_ip,
+                                       seq=outcome.sequence,
+                                       target=outcome.target_key,
+                                       failure=outcome.failure)
+                    batch.append(outcome)
+                    now = time.perf_counter()
+                    if len(batch) >= _OUTCOME_BATCH or \
+                            now - flushed >= _FLUSH_SECONDS:
+                        writer.send((shard, batch, None if emitter is None
+                                     else emitter.take(now), None))
+                        batch, flushed = [], now
                 now = time.perf_counter()
-                if len(batch) >= _OUTCOME_BATCH or \
-                        now - flushed >= _FLUSH_SECONDS:
-                    outcome_queue.put((shard, batch, None if emitter is None
-                                       else emitter.take(now), None))
-                    batch, flushed = [], now
-                if stop.value:
-                    break
-        now = time.perf_counter()
-        delta = (None if emitter is None
-                 else emitter.take(now, final=True))
-        logger.info("shard.done")
-    outcome_queue.put((shard, batch, delta,
-                       (now - start, context.report())))
+                delta = (None if emitter is None
+                         else emitter.take(now, final=True))
+                logger.info("shard.done")
+                writer.send((shard, batch, delta,
+                             (now - start, context.report())))
+            except BrokenPipeError:
+                return  # nobody reads this shard any more: no dump
 
 
-def _replay_shard_forked(shard: int) -> None:
-    assert _FORK_STATE is not None, "fork state not set before pool creation"
-    _replay_shard(shard, *_FORK_STATE, forked=True)
+def _shard_worker(shard: int, writer, inherited: list | None,
+                  args: tuple) -> None:
+    """Entry point of one shard worker, thread or fork process.
 
-
-def _exit_with_driver(driver_pid: int) -> None:
-    """Fork-pool initializer: end this worker once the driver is gone.
-
-    A SIGKILLed driver cannot shut its pool down, and an idle worker
-    never sees EOF on the pool's pipes (its siblings hold their other
-    ends), so it would wait forever.  A daemon thread polls the parent
-    pid instead: reparenting means the driver died.
+    A fork worker first restores the default SIGTERM disposition (so a
+    SIGTERM never runs the driver's flight dump) and closes the
+    ``inherited`` read ends: only the driver then reads any pipe, and
+    only this worker writes its own.  A worker error reaches the driver
+    as one last ``(shard, None, None, traceback)`` message.
     """
-    def watch() -> None:
-        while os.getppid() == driver_pid:
-            time.sleep(0.5)
-        os._exit(1)
-
-    threading.Thread(target=watch, name="driver-watch", daemon=True).start()
-
-
-def _check_futures(futures) -> None:
-    """Surface a dead worker while the merge is idle (and any worker
-    error once the pool is done).
-
-    SIGKILLing a pool worker breaks every pending future; without this
-    check the merge would poll its queue forever.
-    """
-    for future in futures:
-        if future.done() and future.exception() is not None:
-            error = future.exception()
-            if isinstance(error, BrokenProcessPool):
-                raise WorkerLostError(
-                    "shard worker process died mid-replay") from error
-            raise error
-
-
-def _stop_workers(futures, outcome_queue, finals: list, stop) -> None:
-    """Stop every shard after the driver left the merge early.
-
-    Unstarted shards are cancelled; running ones see ``stop`` after
-    their current visit and report done.  The outcome queue is drained
-    meanwhile: a fork worker cannot exit until its queue feeder thread
-    has flushed, so without the drain the pool shutdown would wait
-    forever.
-    """
-    stop.value = 1
-    for future in futures:
-        future.cancel()
-
-    def finished(index: int) -> bool:
-        future = futures[index]
-        return finals[index] is not None or future.cancelled() or (
-            future.done() and future.exception() is not None)
-
-    while not all(finished(index) for index in range(len(futures))):
-        try:
-            message = outcome_queue.get(timeout=0.25)
-        except queue_module.Empty:
-            continue
-        if message[3] is not None:
-            finals[message[0]] = message[3]
+    if inherited is not None:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        for reader in inherited:
+            reader.close()
+    try:
+        _replay_shard(shard, *args, writer)
+    except Exception:
+        with contextlib.suppress(OSError):
+            writer.send((shard, None, None, traceback.format_exc()))
+    finally:
+        writer.close()
 
 
 class ShardedExecutor(ReplayEngine):
-    """Partition-by-target replay on a worker pool, merged canonically.
+    """Partition-by-target replay on one worker per shard, merged
+    canonically.
 
-    ``pool`` selects the worker flavor: ``"fork"`` (process pool,
-    copy-on-write state -- the default where available), ``"thread"``
-    (in-process, useful where fork is not), or ``"auto"``.
+    ``pool`` selects the worker flavor: ``"fork"`` (one forked process
+    per shard, copy-on-write state -- the default where available),
+    ``"thread"`` (in-process, useful where fork is not), or ``"auto"``.
     """
 
     name = "sharded"
@@ -567,14 +515,13 @@ class ShardedExecutor(ReplayEngine):
                ops: OpsOptions | None = None) -> Iterator[VisitOutcome]:
         """Incremental k-way merge of live per-shard outcome streams.
 
-        Workers push their outcomes over a queue as they replay; the
+        Workers push their outcomes over their pipes as they replay; the
         driver emits an outcome as soon as every unfinished shard has
         something buffered (its key is then globally minimal, since
         each shard's stream is canonically ordered).  This is what lets
         the driver checkpoint mid-run.  A worker death surfaces as
         :class:`WorkerLostError` instead of a hang.
         """
-        global _FORK_STATE
         ops = ops or OpsOptions()
         count = self.workers
         shards = [[] for _ in range(count)]
@@ -583,19 +530,18 @@ class ShardedExecutor(ReplayEngine):
         driver_plan = faults.current()
         fault_payload = (None if driver_plan is faults.NULL_PLAN
                          else driver_plan.payload())
+        # ``proc.kill`` evaluates only in fork workers (a thread
+        # "worker" is the driver -- killing it is not a recoverable
+        # chaos scenario), and only in one seeded victim shard, so the
+        # kill point is reproducible and exactly one worker dies.
+        victim = (random.Random(f"{driver_plan.seed}:proc.kill:victim"
+                                ).randrange(count)
+                  if self.pool == "fork" and "proc.kill" in driver_plan.sites
+                  else None)
         aggregator = None
         if ops.live and telemetry.enabled:
             aggregator = (ops.aggregator if ops.aggregator is not None
                           else obs_live.LiveAggregator())
-        if self.pool == "thread":
-            out_queue = queue_module.Queue()
-            stop = SimpleNamespace(value=0)
-        else:
-            context = multiprocessing.get_context("fork")
-            out_queue = context.Queue()
-            stop = context.RawValue("b", 0)
-        args = (plan, shards, seed, telemetry.enabled, fault_payload, ops,
-                out_queue, stop)
         buffers: list[deque] = [deque() for _ in range(count)]
         # Each shard's (wall seconds, report), from its last message.
         finals: list = [None] * count
@@ -613,56 +559,67 @@ class ShardedExecutor(ReplayEngine):
                 best = min(ready, key=lambda i: buffers[i][0].key)
                 yield buffers[best].popleft()
 
+        # The read end of every unfinished shard's pipe -> its shard.
+        readers: dict = {}
+        workers: list = []
         try:
-            if self.pool == "thread":
-                pool = ThreadPoolExecutor(max_workers=count)
-                target, shard_args = _replay_shard, args
-            else:
-                _FORK_STATE = args
-                pool = ProcessPoolExecutor(
-                    max_workers=count,
-                    mp_context=context, initializer=_exit_with_driver,
-                    initargs=(os.getpid(),))
-                target, shard_args = _replay_shard_forked, ()
-            with pool:
-                futures = [pool.submit(target, index, *shard_args)
-                           for index in range(count)]
-                try:
-                    pending = count
-                    while pending:
-                        try:
-                            message = out_queue.get(timeout=0.25)
-                        except queue_module.Empty:
-                            _check_futures(futures)
-                            continue
-                        shard, outcomes, delta, final = message
-                        buffers[shard].extend(outcomes)
-                        tally = tallies[shard]
-                        tally["visits"] += len(outcomes)
-                        for outcome in outcomes:
-                            tally["events"] += outcome.event_total()
-                            if outcome.failure is not None:
-                                tally["quarantined_visits"] += 1
-                        if delta is not None:
-                            emissions[shard] += 1
-                            aggregator.fold({
-                                "shard": shard, "seq": emissions[shard],
-                                "visits": tally["visits"],
-                                "events": tally["events"],
-                                "metrics": delta,
-                                "done": final is not None})
-                        if final is not None:
-                            finals[shard] = final
-                            pending -= 1
-                        yield from emit_ready()
-                except BaseException:
-                    # A driver-side error or an abandoned stream: stop
-                    # the workers before the pool waits for them.
-                    _stop_workers(futures, out_queue, finals, stop)
-                    raise
-            _check_futures(futures)
+            for index in range(count):
+                reader, writer = multiprocessing.Pipe(duplex=False)
+                readers[reader] = index
+                args = (shards[index], index == victim, plan, seed,
+                        telemetry.enabled, fault_payload, ops)
+                if self.pool == "thread":
+                    worker = threading.Thread(
+                        target=_shard_worker, daemon=True,
+                        args=(index, writer, None, args))
+                else:
+                    worker = multiprocessing.get_context("fork").Process(
+                        target=_shard_worker, daemon=True,
+                        args=(index, writer, list(readers), args))
+                worker.start()
+                workers.append(worker)
+                if self.pool == "fork":
+                    writer.close()  # the worker holds the only write end
+            while readers:
+                for reader in multiprocessing.connection.wait(list(readers)):
+                    shard = readers[reader]
+                    try:
+                        _, outcomes, delta, final = reader.recv()
+                    except (EOFError, OSError) as error:
+                        # The pipe ended, between messages or in one.
+                        raise WorkerLostError(
+                            f"shard {shard} worker died mid-replay"
+                        ) from error
+                    if outcomes is None:
+                        raise RuntimeError(
+                            f"shard {shard} worker failed:\n{final}")
+                    buffers[shard].extend(outcomes)
+                    tally = tallies[shard]
+                    tally["visits"] += len(outcomes)
+                    for outcome in outcomes:
+                        tally["events"] += outcome.event_total()
+                        if outcome.failure is not None:
+                            tally["quarantined_visits"] += 1
+                    if delta is not None:
+                        emissions[shard] += 1
+                        aggregator.fold({
+                            "shard": shard, "seq": emissions[shard],
+                            "visits": tally["visits"],
+                            "events": tally["events"],
+                            "metrics": delta,
+                            "done": final is not None})
+                    if final is not None:
+                        finals[shard] = final
+                        del readers[reader]
+                        reader.close()
+                    yield from emit_ready()
         finally:
-            _FORK_STATE = None
+            # The one stop signal: once its read end is closed, a
+            # worker's next send fails and the worker returns.
+            for reader in readers:
+                reader.close()
+            for worker in workers:
+                worker.join()
 
         # Fold each worker's metrics and fault counters into the
         # driver's ambient runtime so run-wide accounting stays exact.

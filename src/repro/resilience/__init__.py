@@ -10,16 +10,14 @@ hostile Internet traffic:
 * the hardening that makes those faults survivable --
   :mod:`~repro.resilience.retry` (exponential backoff + jitter),
   :mod:`~repro.resilience.deadletter` (quarantine instead of data
-  loss), :mod:`~repro.resilience.supervisor` (restart crashed TCP
-  servers), and :mod:`~repro.resilience.chaos_clients` (the abusive
-  clients the TCP layer must shrug off).
+  loss), and :mod:`~repro.resilience.supervisor` (restart crashed TCP
+  servers).
 
 ``repro chaos --plan <name>`` runs the full experiment under a fault
 plan and verifies the conservation invariant
 ``events_generated == events_stored + events_quarantined``.
 """
 
-from repro.resilience.chaos_clients import abrupt_reset, flood, slow_loris
 from repro.resilience.deadletter import DeadLetterWriter, read_dead_letters
 from repro.resilience.faults import (BUILTIN_PLANS, NULL_PLAN, FaultPlan,
                                      FaultSpec, InjectedFault, current,
@@ -32,8 +30,7 @@ from repro.resilience.supervisor import ServerSupervisor, SupervisorPolicy
 __all__ = [
     "BUILTIN_PLANS", "DeadLetterWriter", "FaultPlan", "FaultSpec",
     "InjectedFault", "NULL_PLAN", "RetryPolicy", "ServerSupervisor",
-    "SupervisorPolicy", "abrupt_reset", "current", "flood",
-    "from_payload", "install", "install_local", "is_sqlite_busy",
-    "load_plan", "plan_from_dict", "read_dead_letters", "run_with_retry",
-    "slow_loris", "sqlite_busy_retry",
+    "SupervisorPolicy", "current", "from_payload", "install",
+    "install_local", "is_sqlite_busy", "load_plan", "plan_from_dict",
+    "read_dead_letters", "run_with_retry", "sqlite_busy_retry",
 ]

@@ -30,6 +30,7 @@ import pytest
 from repro.deployment import ExperimentConfig, run_experiment
 from repro.deployment.checkpoint import (ResumeError, ResumeUnnecessary,
                                          prepare_resume)
+from repro.deployment.replay import WorkerLostError
 from repro.netsim.address_space import AddressSpace
 from repro.netsim.asdb import ASType
 from repro.netsim.geoip import GeoIPDatabase
@@ -656,7 +657,7 @@ class TestWorkerKillChaos:
              "proc.kill": {"probability": 1.0, "max_fires": 1,
                            "start_after": 40}},
             seed=SEED, name="crashy")
-        with pytest.raises(Exception):
+        with pytest.raises(WorkerLostError):
             # The SIGKILLed worker surfaces as WorkerLostError.
             run_experiment(ExperimentConfig(
                 seed=SEED, volume_scale=SCALE, output_dir=out,

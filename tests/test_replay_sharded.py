@@ -10,11 +10,13 @@ guarantee rests on.
 
 import hashlib
 import json
+import multiprocessing
 import os
 import signal
 import sqlite3
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -24,9 +26,10 @@ from repro import obs
 from repro.agents.population import build_world
 from repro.deployment import ExperimentConfig, run_experiment
 from repro.deployment.plan import build_plan
+from repro.deployment import replay as replay_module
 from repro.deployment.replay import (OpsOptions, SerialExecutor,
-                                     ShardedExecutor, build_engine,
-                                     compile_visits, shard_of)
+                                     ShardedExecutor, WorkerLostError,
+                                     build_engine, compile_visits, shard_of)
 from repro.obs.live import LiveAggregator
 from repro.resilience import faults
 from repro.runtime.journal import journal_path
@@ -206,6 +209,69 @@ run_experiment(ExperimentConfig(
 """
 
 
+#: A fork-pool replay whose workers each write the header and half the
+#: payload of their first pipe message, then SIGKILL themselves.
+_TORN_FRAME = """
+import os, signal, struct, sys, time
+from multiprocessing import connection
+from repro import obs
+from repro.agents.population import build_world
+from repro.deployment.plan import build_plan
+from repro.deployment.replay import (ShardedExecutor, WorkerLostError,
+                                     compile_visits)
+
+DRIVER = os.getpid()
+send_bytes = connection.Connection._send_bytes
+
+def torn_send(self, buf):
+    if os.getpid() == DRIVER:
+        return send_bytes(self, buf)
+    payload = bytes(buf)
+    self._send(struct.pack("!i", len(payload))
+               + payload[:len(payload) // 2])
+    os.kill(os.getpid(), signal.SIGKILL)
+
+connection.Connection._send_bytes = torn_send
+plan = build_plan(seed=2024)
+schedule = compile_visits(build_world(seed=2024, volume_scale=2e-5),
+                          plan, 2024)
+start = time.monotonic()
+try:
+    for _ in ShardedExecutor(2, pool="fork").replay(
+            schedule, plan, 2024, obs.NULL_TELEMETRY):
+        pass
+except WorkerLostError:
+    print(f"lost after {time.monotonic() - start:.3f}")
+"""
+
+#: A telemetry fork-pool run that leaves a note per flight recorder
+#: arming (``armed.<pid>`` holding the dump file's name, in argv[2])
+#: and logs every flight dump as ``<pid> <file name>``.
+_NOTED_FLIGHT = """
+import os, sys
+from pathlib import Path
+from repro.deployment import ExperimentConfig, run_experiment
+from repro.obs.flight import FlightRecorder
+
+notes = Path(sys.argv[2])
+armed, dump = FlightRecorder.armed, FlightRecorder.dump
+
+def noted_armed(self, path, **kwargs):
+    (notes / f"armed.{os.getpid()}").write_text(Path(path).name)
+    return armed(self, path, **kwargs)
+
+def noted_dump(self, path, **kwargs):
+    with open(notes / "dumps.log", "a") as log:
+        log.write(f"{os.getpid()} {Path(path).name}\\n")
+    return dump(self, path, **kwargs)
+
+FlightRecorder.armed, FlightRecorder.dump = noted_armed, noted_dump
+run_experiment(ExperimentConfig(
+    seed=2024, volume_scale=2e-4, output_dir=sys.argv[1], telemetry=True,
+    workers=2, executor="sharded", pool="fork"))
+"""
+
+
 def _group_members(pgid: int) -> list[int]:
     """Live (non-zombie) processes in process group ``pgid``."""
     members = []
@@ -280,6 +346,111 @@ class TestEarlyExit:
             for pid in _group_members(proc.pid):
                 os.kill(pid, signal.SIGKILL)
         assert leftover == []
+
+
+    @needs_fork_and_proc
+    @pytest.mark.parametrize("attempt", range(3))
+    def test_torn_frame_from_a_dead_worker_is_a_worker_loss(
+            self, tmp_path, attempt):
+        # A worker SIGKILLed in the middle of a message must surface as
+        # WorkerLostError, not leave the driver blocked in the read.
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _TORN_FRAME], env=env, cwd=tmp_path,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            start_new_session=True)
+        try:
+            stdout, stderr = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("driver hung on a torn frame")
+        assert proc.returncode == 0, stderr.decode()
+        assert stdout.startswith(b"lost after "), stdout
+        assert float(stdout.split()[-1]) < 5.0
+        deadline = time.monotonic() + 5.0
+        while _group_members(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        leftover = _group_members(proc.pid)
+        for pid in leftover:
+            os.kill(pid, signal.SIGKILL)
+        assert leftover == []
+
+    @needs_fork_and_proc
+    def test_sigtermed_worker_dumps_only_its_own_flight_record(
+            self, tmp_path):
+        out, notes = tmp_path / "run", tmp_path / "notes"
+        notes.mkdir()
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _NOTED_FLIGHT, str(out), str(notes)],
+            env=env, cwd=REPO_ROOT, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL, start_new_session=True)
+        try:
+            deadline = time.monotonic() + 120.0
+            while True:
+                shard_notes = [
+                    note for note in notes.glob("armed.*")
+                    if note.read_text().startswith("flight_shard")]
+                if shard_notes:
+                    break
+                assert proc.poll() is None, "run ended before a shard"
+                assert time.monotonic() < deadline, "no shard armed"
+                time.sleep(0.02)
+            worker = int(shard_notes[0].suffix[1:])
+            dump_name = shard_notes[0].read_text()
+            time.sleep(0.2)
+            os.kill(worker, signal.SIGTERM)
+            proc.wait(timeout=60)
+        finally:
+            for pid in _group_members(proc.pid):
+                os.kill(pid, signal.SIGKILL)
+        assert proc.returncode != 0  # the driver lost a worker
+        header = json.loads(
+            (out / dump_name).read_text().splitlines()[0])
+        assert header["pid"] == worker
+        assert header["reason"] == f"signal:{int(signal.SIGTERM)}"
+        dumps = (notes / "dumps.log").read_text().splitlines()
+        assert f"{worker} flight_driver.jsonl" not in dumps
+        driver_dump = out / "flight_driver.jsonl"
+        if driver_dump.exists():
+            driver_header = json.loads(
+                driver_dump.read_text().splitlines()[0])
+            assert driver_header["pid"] == proc.pid
+
+
+class TestWorkerError:
+    @pytest.mark.parametrize("pool", [
+        "thread",
+        pytest.param("fork", marks=pytest.mark.skipif(
+            "fork" not in multiprocessing.get_all_start_methods(),
+            reason="needs the fork start method"))])
+    def test_worker_error_is_reraised_not_lost(self, pool, monkeypatch):
+        visits = replay_module._visits
+
+        def failing_visits(plan, schedule, *args, **kwargs):
+            failing = shard_of(schedule[0][3].target_key, 2) == 1
+            for number, outcome in enumerate(
+                    visits(plan, schedule, *args, **kwargs)):
+                if failing and number == 5:
+                    raise RuntimeError("boom")
+                yield outcome
+
+        # Fork workers inherit the patched module.
+        monkeypatch.setattr(replay_module, "_visits", failing_visits)
+        plan, schedule = fresh_schedule()
+        start = time.monotonic()
+        with pytest.raises(RuntimeError) as caught:
+            for _ in ShardedExecutor(2, pool=pool).replay(
+                    schedule, plan, SEED, obs.NULL_TELEMETRY):
+                pass
+        assert time.monotonic() - start < 10.0
+        assert not isinstance(caught.value, WorkerLostError)
+        assert "boom" in str(caught.value)
+        assert "shard 1" in str(caught.value)
+        assert multiprocessing.active_children() == []
+        assert [thread for thread in threading.enumerate()
+                if "_shard_worker" in thread.name] == []
 
 
 class TestExperimentEquality:

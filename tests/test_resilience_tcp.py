@@ -13,8 +13,8 @@ from repro.honeypots.base import Honeypot, HoneypotSession
 from repro.honeypots.tcp import TcpHoneypotServer, serve_honeypots
 from repro.netsim.clock import SimClock
 from repro.pipeline.sinks import BufferSink
-from repro.resilience import (ServerSupervisor, SupervisorPolicy,
-                              abrupt_reset, flood, slow_loris)
+from repro.resilience import ServerSupervisor, SupervisorPolicy
+from tests.chaos_clients import abrupt_reset, flood, slow_loris
 
 
 class _CrashingSession(HoneypotSession):
