@@ -54,7 +54,6 @@ def test_replay_throughput(emit):
         runs.append({
             "workers": workers,
             "executor": engine.stats["executor"],
-            "pool": engine.stats.get("pool"),
             "visits": len(schedule),
             "events": events,
             "wall_seconds": round(wall, 3),

@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_cmd.add_argument("--matrix", default=None,
                             help="comma-separated matrix "
                                  "configurations (default: "
-                                 "serial,thread,fork,telemetry-off; "
+                                 "serial,fork,telemetry-off; "
                                  "also: kill-resume, chaos)")
     verify_cmd.add_argument("--workdir", type=Path, default=None,
                             help="where the differential runs land "

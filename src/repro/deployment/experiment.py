@@ -43,8 +43,8 @@ from repro.deployment.checkpoint import (Checkpointer, ResumeError,
                                          ResumeState, prepare_resume)
 from repro.deployment.plan import DeploymentPlan, build_plan
 from repro.deployment.replay import (OpsOptions, ReplayEngine,
-                                     build_engine, compile_visits,
-                                     schedule_digest)
+                                     build_engine, check_pool,
+                                     compile_visits, schedule_digest)
 from repro.obs import live as obs_live
 from repro.obs import logging as obs_logging
 from repro.obs import report as obs_report
@@ -104,9 +104,9 @@ class ExperimentConfig:
     #: Replay engine: ``"auto"`` (serial for 1 worker, sharded
     #: otherwise), ``"serial"``, or ``"sharded"``.
     executor: str = "auto"
-    #: Sharded-replay worker flavor: ``"auto"`` (fork where available,
-    #: thread otherwise), ``"fork"``, or ``"thread"``.  Ignored by the
-    #: serial engine.
+    #: Sharded-replay workers are always fork processes: ``"auto"`` and
+    #: ``"fork"`` select the same engine, anything else raises
+    #: ``ValueError``.  Kept only for callers that still pass ``"fork"``.
     pool: str = "auto"
     #: Minimum seconds between live shard metric deltas (0 disables
     #: live telemetry; requires telemetry and a sharded replay to
@@ -125,6 +125,9 @@ class ExperimentConfig:
     #: database damage beyond a torn tail), or ``"force"`` (fall back
     #: to the newest checkpoint that validates, or scratch).
     resume: str | None = None
+
+    def __post_init__(self) -> None:
+        check_pool(self.pool)
 
 
 @dataclass

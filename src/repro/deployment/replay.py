@@ -14,9 +14,9 @@ Both engines run the same per-visit loop (:func:`_visits`):
   order, in the driver's own runtime context (the reference engine).
 * :class:`ShardedExecutor` -- partitions the schedule by *target
   honeypot* (``crc32(target_key) % workers``), runs the loop per shard
-  on its own worker under a private context, and merges the per-shard
-  outcome streams back into canonical ``(offset, ip, seq)`` order as
-  they arrive (so the driver can checkpoint mid-run).
+  in its own worker process under a private context, and merges the
+  per-shard outcome streams back into canonical ``(offset, ip, seq)``
+  order as they arrive (so the driver can checkpoint mid-run).
 
 Partitioning by target is what makes the parallel run *deterministic*
 with respect to the serial one.  The actor side is stateless across
@@ -35,12 +35,12 @@ with both sides pinned, shard assignment cannot change any visit's
 outcome and the merged stream is element-for-element the serial
 stream.
 
-Each shard gets one worker and one pipe.  Workers prefer ``fork``
-processes (each inherits the already-built plan and schedule
-copy-on-write, replays its shard, and streams its outcomes back); where
-``fork`` is unavailable the engine falls back to threads, whose
-per-shard runtime contexts install thread-locally (see
-:mod:`repro.runtime`).  Only worker *k* holds the write end of pipe
+Each shard gets one ``fork`` worker process and one pipe.  The worker
+inherits the already-built plan and schedule copy-on-write, installs
+its private runtime context process-wide (see :mod:`repro.runtime`),
+replays its shard, and streams its outcomes back.  Where ``fork`` is
+unavailable the engine refuses to shard: serial replay (``workers=1``)
+writes the same artifacts.  Only worker *k* holds the write end of pipe
 *k*, and only the driver its read end, so a worker that dies (even
 mid-message) gives the driver end-of-file, and a driver that dies or
 stops reading gives each worker a broken pipe on its next send.
@@ -64,7 +64,6 @@ import os
 import random
 import signal
 import sys
-import threading
 import time
 import traceback
 import zlib
@@ -90,7 +89,8 @@ from repro.runtime import RunContext, worker_context
 __all__ = [
     "OpsOptions", "ScheduledVisit", "VisitOutcome", "ReplayEngine",
     "SerialExecutor", "ShardedExecutor", "WorkerLostError",
-    "build_engine", "compile_visits", "schedule_digest", "shard_of",
+    "build_engine", "check_pool", "compile_visits", "fork_available",
+    "schedule_digest", "shard_of",
 ]
 
 
@@ -280,7 +280,7 @@ class OpsOptions:
     replay behaves exactly as before (no metric deltas, no shard
     tracing, no flight dumps), so live telemetry can never perturb the
     event stream -- it only *observes* the worker registries.  Workers
-    read it directly: fork workers inherit it, thread workers share it.
+    read it directly: each fork worker inherits it.
     """
 
     #: Ship shard metric deltas to the driver with the outcomes.
@@ -327,8 +327,8 @@ def _visits(plan: DeploymentPlan, schedule: Sequence[ScheduledVisit],
     """The per-visit loop shared by serial replay and every shard.
 
     Visits at or below ``watermark`` fast-forward; with ``kill_plan``
-    (the victim shard of a fork replay) the ``proc.kill`` site is drawn
-    before each live visit.
+    (the victim shard of a sharded replay) the ``proc.kill`` site is
+    drawn before each live visit.
     """
     clock = SimClock()
     rng = random.Random()  # reused: re-seeded per visit
@@ -403,7 +403,7 @@ def _replay_shard(shard: int, schedule: Sequence[ScheduledVisit],
                   victim: bool, plan: DeploymentPlan, seed: int,
                   telemetry_enabled: bool, fault_payload: dict | None,
                   ops: OpsOptions, writer) -> None:
-    """Replay one shard under its own thread-local runtime context.
+    """Replay one shard under its own runtime context.
 
     Outcomes are shipped to the driver as they replay, in small
     ``(shard, outcomes, delta, final)`` messages on the shard's own
@@ -428,7 +428,7 @@ def _replay_shard(shard: int, schedule: Sequence[ScheduledVisit],
                  else None)
     batch: list[VisitOutcome] = []
     flushed = start
-    with context.activate_local(), obs_logging.bind(**correlation):
+    with context.activate(), obs_logging.bind(**correlation):
         kill_plan = faults.current() if victim else None
         logger = telemetry.logger
         logger.info("shard.start", visits=len(schedule),
@@ -463,20 +463,19 @@ def _replay_shard(shard: int, schedule: Sequence[ScheduledVisit],
                 return  # nobody reads this shard any more: no dump
 
 
-def _shard_worker(shard: int, writer, inherited: list | None,
+def _shard_worker(shard: int, writer, inherited: list,
                   args: tuple) -> None:
-    """Entry point of one shard worker, thread or fork process.
+    """Entry point of one forked shard worker process.
 
-    A fork worker first restores the default SIGTERM disposition (so a
+    The worker first restores the default SIGTERM disposition (so a
     SIGTERM never runs the driver's flight dump) and closes the
     ``inherited`` read ends: only the driver then reads any pipe, and
     only this worker writes its own.  A worker error reaches the driver
     as one last ``(shard, None, None, traceback)`` message.
     """
-    if inherited is not None:
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        for reader in inherited:
-            reader.close()
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    for reader in inherited:
+        reader.close()
     try:
         _replay_shard(shard, *args, writer)
     except Exception:
@@ -486,13 +485,27 @@ def _shard_worker(shard: int, writer, inherited: list | None,
         writer.close()
 
 
-class ShardedExecutor(ReplayEngine):
-    """Partition-by-target replay on one worker per shard, merged
-    canonically.
+def fork_available() -> bool:
+    """Whether this platform can start shard workers, which are always
+    ``fork`` processes."""
+    return "fork" in multiprocessing.get_all_start_methods()
 
-    ``pool`` selects the worker flavor: ``"fork"`` (one forked process
-    per shard, copy-on-write state -- the default where available),
-    ``"thread"`` (in-process, useful where fork is not), or ``"auto"``.
+
+def check_pool(pool: str) -> None:
+    """Reject a ``pool`` other than ``"auto"`` or ``"fork"``; both
+    select the one sharded engine, fork worker processes."""
+    if pool not in ("auto", "fork"):
+        raise ValueError(f"unknown pool {pool!r}: shard workers are "
+                         f"fork processes (pool 'auto' or 'fork')")
+
+
+class ShardedExecutor(ReplayEngine):
+    """Partition-by-target replay on one forked worker process per
+    shard, merged canonically.
+
+    ``pool`` is accepted for callers that still pass it; ``"auto"`` and
+    ``"fork"`` select the same engine.  Where ``fork`` is unavailable
+    the constructor raises :class:`ValueError`.
     """
 
     name = "sharded"
@@ -500,14 +513,13 @@ class ShardedExecutor(ReplayEngine):
     def __init__(self, workers: int, *, pool: str = "auto"):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if pool not in ("auto", "fork", "thread"):
-            raise ValueError(f"unknown pool {pool!r}")
-        if pool == "auto":
-            pool = ("fork" if "fork"
-                    in multiprocessing.get_all_start_methods()
-                    else "thread")
+        check_pool(pool)
+        if not fork_available():
+            raise ValueError(
+                "sharded replay needs the fork start method, which this "
+                "platform lacks; workers=1 replays serially and writes "
+                "the same artifacts")
         self.workers = workers
-        self.pool = pool
 
     def replay(self, schedule: Sequence[ScheduledVisit],
                plan: DeploymentPlan, seed: int,
@@ -530,14 +542,11 @@ class ShardedExecutor(ReplayEngine):
         driver_plan = faults.current()
         fault_payload = (None if driver_plan is faults.NULL_PLAN
                          else driver_plan.payload())
-        # ``proc.kill`` evaluates only in fork workers (a thread
-        # "worker" is the driver -- killing it is not a recoverable
-        # chaos scenario), and only in one seeded victim shard, so the
+        # ``proc.kill`` evaluates only in one seeded victim shard, so the
         # kill point is reproducible and exactly one worker dies.
         victim = (random.Random(f"{driver_plan.seed}:proc.kill:victim"
                                 ).randrange(count)
-                  if self.pool == "fork" and "proc.kill" in driver_plan.sites
-                  else None)
+                  if "proc.kill" in driver_plan.sites else None)
         aggregator = None
         if ops.live and telemetry.enabled:
             aggregator = (ops.aggregator if ops.aggregator is not None
@@ -562,24 +571,19 @@ class ShardedExecutor(ReplayEngine):
         # The read end of every unfinished shard's pipe -> its shard.
         readers: dict = {}
         workers: list = []
+        context = multiprocessing.get_context("fork")
         try:
             for index in range(count):
                 reader, writer = multiprocessing.Pipe(duplex=False)
                 readers[reader] = index
                 args = (shards[index], index == victim, plan, seed,
                         telemetry.enabled, fault_payload, ops)
-                if self.pool == "thread":
-                    worker = threading.Thread(
-                        target=_shard_worker, daemon=True,
-                        args=(index, writer, None, args))
-                else:
-                    worker = multiprocessing.get_context("fork").Process(
-                        target=_shard_worker, daemon=True,
-                        args=(index, writer, list(readers), args))
+                worker = context.Process(
+                    target=_shard_worker, daemon=True,
+                    args=(index, writer, list(readers), args))
                 worker.start()
                 workers.append(worker)
-                if self.pool == "fork":
-                    writer.close()  # the worker holds the only write end
+                writer.close()  # the worker holds the only write end
             while readers:
                 for reader in multiprocessing.connection.wait(list(readers)):
                     shard = readers[reader]
@@ -654,7 +658,6 @@ class ShardedExecutor(ReplayEngine):
         self.stats = {
             "executor": self.name,
             "workers": count,
-            "pool": self.pool,
             "live": live_stats,
             "stitched_spans": stitched_spans,
             "shards": [{**tally, "wall_seconds": wall_seconds}
@@ -669,16 +672,17 @@ def resolve_workers(requested: "int | str", *,
     ``"auto"`` resolves to ``min(requested_cores, cpu_count)`` -- i.e.
     one worker per available core, and never more than the host can
     actually run (on a single-core host that is serial replay, the
-    faster configuration there per ``BENCH_replay.json``).  An explicit
-    integer is honored verbatim, but when it shards on a single-core
-    host -- where sharding measured 0.75x serial -- a warning goes to
-    stderr and the ``replay.single_core_sharding`` counter, so users
-    do not silently pessimize their runs.
+    faster configuration there per ``BENCH_replay.json``) -- and to 1
+    where ``fork`` is unavailable, since only fork workers shard.  An
+    explicit integer is honored verbatim, but when it shards on a
+    single-core host -- where sharding measured 0.75x serial -- a
+    warning goes to stderr and the ``replay.single_core_sharding``
+    counter, so users do not silently pessimize their runs.
     """
     if cores is None:
         cores = os.cpu_count() or 1
     if requested == "auto":
-        return max(1, cores)
+        return max(1, cores) if fork_available() else 1
     try:
         workers = int(requested)
     except (TypeError, ValueError):

@@ -74,9 +74,10 @@ NULL_TELEMETRY = Telemetry(enabled=False)
 
 _current: Telemetry = NULL_TELEMETRY
 
-#: Per-thread override of the process-wide bundle, used by sharded
-#: replay workers so each shard reports into its own registry without
-#: clobbering the driver's.
+#: Per-thread override of the process-wide bundle.  A resume's
+#: fast-forward (``replay._fast_forward_visit``) mutes the driver
+#: thread with it while the SQLite writer threads keep reporting into
+#: the process-wide bundle.
 _local = threading.local()
 
 

@@ -21,8 +21,8 @@ plan and verifies the conservation invariant
 from repro.resilience.deadletter import DeadLetterWriter, read_dead_letters
 from repro.resilience.faults import (BUILTIN_PLANS, NULL_PLAN, FaultPlan,
                                      FaultSpec, InjectedFault, current,
-                                     from_payload, install, install_local,
-                                     load_plan, plan_from_dict)
+                                     from_payload, install, load_plan,
+                                     plan_from_dict)
 from repro.resilience.retry import (RetryPolicy, is_sqlite_busy,
                                     run_with_retry, sqlite_busy_retry)
 from repro.resilience.supervisor import ServerSupervisor, SupervisorPolicy
@@ -31,6 +31,6 @@ __all__ = [
     "BUILTIN_PLANS", "DeadLetterWriter", "FaultPlan", "FaultSpec",
     "InjectedFault", "NULL_PLAN", "RetryPolicy", "ServerSupervisor",
     "SupervisorPolicy", "current", "from_payload", "install",
-    "install_local", "is_sqlite_busy", "load_plan", "plan_from_dict",
+    "is_sqlite_busy", "load_plan", "plan_from_dict",
     "read_dead_letters", "run_with_retry", "sqlite_busy_retry",
 ]

@@ -30,8 +30,8 @@ Known injection sites
 =================  =========================================================
 
 ``proc.kill`` is special: it is only evaluated inside forked shard
-workers (serial and thread-pool replays never arm it -- the "worker" is
-the driver itself there), the victim shard is chosen by a seeded draw
+workers (serial replay never arms it -- the "worker" is the driver
+itself there), the victim shard is chosen by a seeded draw
 so the kill is reproducible, and ``repro run --resume`` strips the site
 from the adopted plan so a resumed run cannot re-kill itself at the
 same visit forever.
@@ -272,19 +272,10 @@ NULL_PLAN = NullFaultPlan()
 
 _current: FaultPlan = NULL_PLAN
 
-#: Per-thread override, mirroring :mod:`repro.obs` -- sharded replay
-#: workers install their own plan clone without touching the driver's.
-_local = threading.local()
-
 
 def current() -> FaultPlan:
-    """The installed fault plan (no-op unless a chaos run installed one).
-
-    A plan installed via :func:`install_local` shadows the process-wide
-    plan on its thread.
-    """
-    override = getattr(_local, "current", None)
-    return override if override is not None else _current
+    """The installed fault plan (no-op unless a chaos run installed one)."""
+    return _current
 
 
 @contextmanager
@@ -298,17 +289,6 @@ def install(plan: FaultPlan | None) -> Iterator[FaultPlan]:
         yield _current
     finally:
         _current = previous
-
-
-@contextmanager
-def install_local(plan: FaultPlan | None) -> Iterator[FaultPlan]:
-    """Make ``plan`` the :func:`current` plan on *this thread* only."""
-    previous = getattr(_local, "current", None)
-    _local.current = plan if plan is not None else NULL_PLAN
-    try:
-        yield _local.current
-    finally:
-        _local.current = previous
 
 
 def from_payload(payload: Mapping) -> FaultPlan:

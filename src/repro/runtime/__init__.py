@@ -6,11 +6,9 @@ singletons -- ``obs.current()`` (telemetry) and ``faults.current()``
 bundles both so drivers and replay workers deal with exactly one
 object:
 
-* :meth:`RunContext.activate` installs both process-wide (the driver's
-  mode, identical to the old nested ``obs.install``/``faults.install``);
-* :meth:`RunContext.activate_local` installs both on the current thread
-  only, which is how sharded replay workers get private registries and
-  fault counters without clobbering each other;
+* :meth:`RunContext.activate` installs both process-wide -- in the
+  driver, and in each forked shard worker, whose private registries and
+  fault counters live in its own process;
 * :meth:`RunContext.report` snapshots everything a worker must hand
   back, and :meth:`RunContext.absorb` folds such a report into the
   driver's context -- counters add, histograms combine, fault
@@ -49,13 +47,6 @@ class RunContext:
     def activate(self) -> Iterator["RunContext"]:
         """Install both halves process-wide for the duration."""
         with obs.install(self.telemetry), faults.install(self.fault_plan):
-            yield self
-
-    @contextmanager
-    def activate_local(self) -> Iterator["RunContext"]:
-        """Install both halves on *this thread* only."""
-        with obs.install_local(self.telemetry), \
-                faults.install_local(self.fault_plan):
             yield self
 
     def report(self) -> dict:

@@ -1,9 +1,9 @@
 """Layer 2 of ``repro verify``: the differential replay matrix.
 
 One seed is replayed under a matrix of execution configurations --
-serial, N-worker thread pool, N-worker fork pool, telemetry on vs.
-off, checkpoint + SIGKILL + resume, and a keyed chaos plan -- and
-every artifact is diffed against a reference run:
+serial, N fork shard workers, telemetry on vs. off, checkpoint +
+SIGKILL + resume, and a keyed chaos plan -- and every artifact is
+diffed against a reference run:
 
 * database content via the chained prefix digest over all rows (the
   SQLite *files* legitimately differ byte-wise between the WAL and
@@ -38,7 +38,8 @@ from repro.deployment.experiment import (ExperimentConfig,
                                          QUARANTINE_FILENAME,
                                          RAW_LOG_DIRNAME, run_experiment)
 from repro.deployment.plan import build_plan
-from repro.deployment.replay import build_engine, compile_visits
+from repro.deployment.replay import (build_engine, compile_visits,
+                                     fork_available)
 from repro.obs import report as obs_report
 from repro.pipeline.convert import count_events, prefix_digest
 from repro.resilience import faults
@@ -48,11 +49,14 @@ __all__ = ["DEFAULT_MATRIX", "MATRIX_CONFIGS", "DifferentialReport",
            "artifact_summary", "locate_divergence", "run_matrix"]
 
 #: Every matrix configuration the runner knows, in run order.
-MATRIX_CONFIGS = ("serial", "thread", "fork", "telemetry-off",
-                  "kill-resume", "chaos")
+MATRIX_CONFIGS = ("serial", "fork", "telemetry-off", "kill-resume",
+                  "chaos")
 
 #: What ``repro verify --differential`` runs without ``--matrix``.
-DEFAULT_MATRIX = ("serial", "thread", "fork", "telemetry-off")
+DEFAULT_MATRIX = ("serial", "fork", "telemetry-off")
+
+#: The configurations that shard, and so need fork worker processes.
+_SHARDED_CONFIGS = ("fork", "kill-resume", "chaos")
 
 #: Fault plan the ``chaos`` pair runs.  Must be a *keyed* plan: keyed
 #: sites decide per ``{seed}:{site}:{ip}:{seq}`` and so are identical
@@ -153,7 +157,7 @@ class DifferentialReport:
                 "ok": self.ok}
 
 
-def _engine_diffs(name: str, output_dir: Path, *, pool: str,
+def _engine_diffs(name: str, output_dir: Path, *,
                   workers: int) -> list[dict]:
     """Flag a sharded config whose manifest reports another engine.
 
@@ -162,10 +166,9 @@ def _engine_diffs(name: str, output_dir: Path, *, pool: str,
     """
     replay = obs_report.load_report(
         output_dir / obs_report.REPORT_FILENAME).get("replay") or {}
-    expected = {"executor": "sharded", "pool": pool,
-                "workers": workers, "shards": workers}
+    expected = {"executor": "sharded", "workers": workers,
+                "shards": workers}
     actual = {"executor": replay.get("executor"),
-              "pool": replay.get("pool"),
               "workers": replay.get("workers"),
               "shards": len(replay.get("shards") or ())}
     if actual == expected:
@@ -181,12 +184,6 @@ def _base_config(output_dir: Path, seed: int, scale: float,
                     write_raw_logs=True)
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
-
-
-def _fork_available() -> bool:
-    import multiprocessing
-
-    return "fork" in multiprocessing.get_all_start_methods()
 
 
 def _run_kill_resume(output_dir: Path, seed: int, scale: float,
@@ -296,22 +293,15 @@ def run_matrix(workdir: str | Path, *, seed: int, scale: float,
     for name in configs:
         if name == "serial":
             continue
+        if name in _SHARDED_CONFIGS and not fork_available():
+            skip(name, "fork start method unavailable")
+            continue
         logger.info("verify.matrix_run", config=name)
-        if name == "thread":
-            summary = run_one(name, workers=workers,
-                              executor="sharded", pool="thread")
+        if name == "fork":
+            summary = run_one(name, workers=workers, executor="sharded")
             report.diffs += _diff_summaries(name, reference, summary)
             report.diffs += _engine_diffs(name, workdir / name,
-                                          pool="thread", workers=workers)
-        elif name == "fork":
-            if not _fork_available():
-                skip(name, "fork start method unavailable")
-                continue
-            summary = run_one(name, workers=workers,
-                              executor="sharded", pool="fork")
-            report.diffs += _diff_summaries(name, reference, summary)
-            report.diffs += _engine_diffs(name, workdir / name,
-                                          pool="fork", workers=workers)
+                                          workers=workers)
         elif name == "telemetry-off":
             summary = run_one(name, workers=1, telemetry=False)
             report.diffs += _diff_summaries(name, reference, summary,
@@ -331,13 +321,12 @@ def run_matrix(workdir: str | Path, *, seed: int, scale: float,
                 fault_plan=faults.load_plan(CHAOS_PLAN, seed=seed))
             chaos_sharded = run_one(
                 "chaos-sharded", workers=workers, executor="sharded",
-                pool="thread",
                 fault_plan=faults.load_plan(CHAOS_PLAN, seed=seed))
             report.diffs += _diff_summaries(
                 "chaos-sharded", chaos_reference, chaos_sharded)
             report.diffs += _engine_diffs(
                 "chaos-sharded", workdir / "chaos-sharded",
-                pool="thread", workers=workers)
+                workers=workers)
 
     _localize(report, summaries, seed=seed, scale=scale,
               workers=workers)
@@ -349,12 +338,10 @@ def run_matrix(workdir: str | Path, *, seed: int, scale: float,
 #: level instead).
 _ENGINE_SPECS = {
     "serial": dict(workers=1),
-    "thread": dict(workers=4, executor="sharded", pool="thread"),
-    "fork": dict(workers=4, executor="sharded", pool="fork"),
+    "fork": dict(workers=4, executor="sharded"),
     "telemetry-off": dict(workers=1),
     "chaos-serial": dict(workers=1),
-    "chaos-sharded": dict(workers=4, executor="sharded",
-                          pool="thread"),
+    "chaos-sharded": dict(workers=4, executor="sharded"),
 }
 
 
@@ -393,8 +380,7 @@ def _materialize(seed: int, scale: float, spec: dict,
     world = build_world(seed, scale)
     schedule = compile_visits(world, plan, seed)
     engine = build_engine(spec.get("workers", 1),
-                          spec.get("executor", "auto"),
-                          spec.get("pool", "auto"))
+                          spec.get("executor", "auto"))
     telemetry = obs.Telemetry(enabled=False)
     installed = faults.load_plan(fault_plan, seed=seed) \
         if fault_plan else None
@@ -409,7 +395,7 @@ def locate_divergence(seed: int, scale: float, spec_a: dict,
     visit whose outcome differs, or ``None`` when the streams agree.
 
     Each spec is a ``build_engine`` argument dict (``workers``,
-    ``executor``, ``pool``).  The returned record carries the divergent
+    ``executor``).  The returned record carries the divergent
     canonical key plus both sides' event records -- and flags length
     mismatches when one stream ends early.
     """

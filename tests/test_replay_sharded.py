@@ -16,7 +16,6 @@ import signal
 import sqlite3
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -110,6 +109,22 @@ class TestShardAssignment:
         with pytest.raises(ValueError):
             build_engine(2, "gpu")
 
+    def test_shard_workers_are_fork_processes_only(self):
+        with pytest.raises(ValueError, match="'thread'"):
+            ShardedExecutor(2, pool="thread")
+        with pytest.raises(ValueError, match="'thread'"):
+            ExperimentConfig(pool="thread")
+
+    def test_without_fork_there_are_no_shards(self, monkeypatch):
+        from repro.deployment import resolve_workers
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        with pytest.raises(ValueError, match="workers=1"):
+            build_engine(2)
+        assert resolve_workers("auto", cores=4) == 1
+        assert isinstance(build_engine(1), SerialExecutor)
+
     def test_resolve_workers_auto_matches_cores(self, capsys):
         from repro.deployment import resolve_workers
 
@@ -144,7 +159,7 @@ class TestOutcomeStreamEquality:
         reference = list(SerialExecutor().replay(schedule, plan, SEED,
                                                  telemetry))
         plan, schedule = fresh_schedule()
-        merged = list(ShardedExecutor(2, pool="thread").replay(
+        merged = list(ShardedExecutor(2).replay(
             schedule, plan, SEED, telemetry))
 
         assert [o.key for o in merged] == [o.key for o in reference]
@@ -169,7 +184,7 @@ class TestFastForward:
         assert expected_suffix and any(o.events for o in reference
                                        if o.key <= watermark)
 
-        for engine in (SerialExecutor(), ShardedExecutor(2, pool="thread")):
+        for engine in (SerialExecutor(), ShardedExecutor(2)):
             plan, schedule = fresh_schedule()
             outcomes = list(engine.replay(
                 schedule, plan, SEED, telemetry,
@@ -421,7 +436,6 @@ class TestEarlyExit:
 
 class TestWorkerError:
     @pytest.mark.parametrize("pool", [
-        "thread",
         pytest.param("fork", marks=pytest.mark.skipif(
             "fork" not in multiprocessing.get_all_start_methods(),
             reason="needs the fork start method"))])
@@ -449,8 +463,6 @@ class TestWorkerError:
         assert "boom" in str(caught.value)
         assert "shard 1" in str(caught.value)
         assert multiprocessing.active_children() == []
-        assert [thread for thread in threading.enumerate()
-                if "_shard_worker" in thread.name] == []
 
 
 class TestExperimentEquality:
@@ -580,7 +592,7 @@ class TestLiveShardedEquality:
         # The driver counts per-shard progress from the outcomes it
         # receives; at the end it must agree with the manifest's shards.
         plan, schedule = fresh_schedule()
-        engine = ShardedExecutor(3, pool="thread")
+        engine = ShardedExecutor(3)
         aggregator = LiveAggregator()
         telemetry = obs.Telemetry(enabled=True)
         with obs.install(telemetry):
@@ -613,7 +625,7 @@ class TestLiveShardedEquality:
         monkeypatch.setattr(obs_report, "write_report", failing_write)
         result = run_experiment(ExperimentConfig(
             seed=SEED, volume_scale=SCALE, output_dir=tmp_path,
-            telemetry=True, workers=2, pool="thread", live_interval=0.01,
+            telemetry=True, workers=2, live_interval=0.01,
             checkpoint_interval=0.05))
         assert result.checkpoints_taken >= 1
         assert result.report["partial"] is False

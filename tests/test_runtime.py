@@ -108,18 +108,6 @@ class TestThreadLocalInstall:
         assert local.metrics.counter_value("n") == 1
         assert shared.metrics.counter_value("n") == 0
 
-    def test_local_fault_plan_shadows_global(self):
-        shared = faults.FaultPlan(
-            [faults.FaultSpec("visit.crash", probability=1.0)], seed=1)
-        local = shared.clone()
-        with faults.install(shared):
-            with faults.install_local(local):
-                assert faults.current() is local
-                faults.current().should_fire("visit.crash", key="x")
-            assert faults.current() is shared
-        assert local.fires_total() == 1
-        assert shared.fires_total() == 0
-
 
 class TestRunContext:
     def test_activate_installs_both_halves(self):
@@ -144,7 +132,7 @@ class TestRunContext:
             "visit.crash": faults.FaultSpec("visit.crash",
                                             probability=1.0)},
             "seed": 3, "name": "chaos"})
-        with worker.activate_local():
+        with worker.activate():
             obs.current().metrics.inc("replay.visits", 7)
             faults.current().should_fire("visit.crash", key="a:0")
         report = worker.report()

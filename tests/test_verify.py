@@ -127,7 +127,7 @@ class TestCliStatuses:
 
     def test_matrix_without_differential_exits_two(self, good_run):
         assert cli("verify", "--output", good_run,
-                   "--matrix", "thread") == 2
+                   "--matrix", "fork") == 2
 
     def test_unknown_matrix_config_exits_two(self, tmp_path):
         assert cli("verify", "--differential", "--matrix", "bogus",
@@ -286,9 +286,9 @@ class TestJournalMutations:
 
 
 class TestDifferential:
-    def test_sharded_thread_matches_serial(self, tmp_path):
+    def test_sharded_fork_matches_serial(self, tmp_path):
         report = run_matrix(tmp_path, seed=SEED, scale=SCALE,
-                            workers=2, configs=("thread",))
+                            workers=2, configs=("fork",))
         assert report.ok
         assert report.diffs == []
         assert report.divergences == []
@@ -302,17 +302,16 @@ class TestDifferential:
             {"schema": obs_report.SCHEMA,
              "replay": {"executor": "serial", "workers": 1}},
             tmp_path / MANIFEST)
-        diffs = _engine_diffs("fork", tmp_path, pool="fork", workers=4)
+        diffs = _engine_diffs("fork", tmp_path, workers=4)
         assert [diff["artifact"] for diff in diffs] == ["manifest.replay"]
-        assert diffs[0]["actual"] == {"executor": "serial", "pool": None,
-                                      "workers": 1, "shards": 0}
+        assert diffs[0]["actual"] == {"executor": "serial", "workers": 1,
+                                      "shards": 0}
         obs_report.write_report(
             {"schema": obs_report.SCHEMA,
-             "replay": {"executor": "sharded", "pool": "fork",
-                        "workers": 4, "shards": [{}] * 4}},
+             "replay": {"executor": "sharded", "workers": 4,
+                        "shards": [{}] * 4}},
             tmp_path / MANIFEST)
-        assert _engine_diffs("fork", tmp_path, pool="fork",
-                             workers=4) == []
+        assert _engine_diffs("fork", tmp_path, workers=4) == []
 
     def test_bisector_localizes_order_sensitive_plan(self):
         # Plan "all" contains unkeyed (order-sensitive) sites, which the
@@ -320,7 +319,7 @@ class TestDifferential:
         # diverge, and the bisector must name the first bad visit.
         divergence = locate_divergence(
             SEED, SCALE, dict(workers=1),
-            dict(workers=4, executor="sharded", pool="thread"),
+            dict(workers=4, executor="sharded"),
             fault_plan="all")
         assert divergence is not None
         offset, ip, seq = divergence["key"]
@@ -330,5 +329,5 @@ class TestDifferential:
     def test_keyed_plan_does_not_diverge(self):
         assert locate_divergence(
             SEED, SCALE, dict(workers=1),
-            dict(workers=4, executor="sharded", pool="thread"),
+            dict(workers=4, executor="sharded"),
             fault_plan="visit-crash") is None
